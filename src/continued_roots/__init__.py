@@ -31,6 +31,7 @@ from .diagnostics import (
     ConvergenceDiagnostics,
     ExtrapolationReport,
     ReportRow,
+    depth_table,
     herschfeld_terms,
     nested_radical_exponent,
     sequence_report,
@@ -66,6 +67,7 @@ __all__ = [
     "VanishingSensitivityError",
     "backend_name",
     "best_real_order",
+    "depth_table",
     "exponent_to_power",
     "finite_order_exponent",
     "fit",

@@ -13,7 +13,7 @@ of infinite nesting depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._backend import kernels
 from .errors import (
@@ -92,6 +92,15 @@ class AmplitudeResult:
     amplitude: float
     exponent: float
     order: int
+
+    def estimate(self, target_exponent: float, match_point: float = 1.0) -> float:
+        """This law converted to one of x**target_exponent at ``match_point``.
+
+        B_k * match_point**(beta_k - target); B_k itself at match point 1.
+        """
+        if match_point == 1.0:
+            return self.amplitude
+        return self.amplitude * match_point ** (self.exponent - target_exponent)
 
 
 @dataclass(frozen=True)
@@ -191,10 +200,7 @@ class ContinuedRootApproximant:
             raise ValueError(
                 f"match point must be positive, got {match_point!r}"
             )
-        result = self.amplitude()
-        if match_point == 1.0:
-            return result.amplitude
-        return result.amplitude * match_point ** (result.exponent - target_exponent)
+        return self.amplitude().estimate(target_exponent, match_point)
 
     def to_rational(self) -> tuple[list[float], list[float]]:
         """Collapse the s = -1 form into a ratio of polynomials.
@@ -225,24 +231,13 @@ class ContinuedRootApproximant:
         return q, p
 
 
-def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
-    """Fit a nested-root form whose expansion matches the series exactly.
+def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
+    """Yield the fitted parameters A1, A2, ... of ``series``, one per order.
 
-    Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
-    coefficient of the nested form is an affine function of A_n, so each
-    step solves one linear equation built from two trial expansions.  The
-    resulting depth equals the series order.
-
-    Args:
-        series: coefficients c0..cK with c0 = 1 and K >= 1.
-        power: the repeated nesting power s, non-zero.
-
-    Raises:
-        DegenerateSeriesError: the linear coefficient is zero.
-        VanishingSensitivityError: some coefficient no longer responds to
-            its parameter (slope below tolerance), typically after an
-            earlier parameter fitted to exactly zero.
-        ValueError: c0 != 1, K < 1, or power == 0.
+    The n-th value is the one ``fit`` returns at any depth >= n, so a
+    caller can stop early or keep the prefix fitted before a failure; the
+    error for order n is raised when the n-th value is requested.  Arguments
+    and errors are those of ``fit``.
     """
     coeffs = series.coeffs
     if coeffs[0] != 1.0:
@@ -258,29 +253,109 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
             "linear coefficient is zero; the parameter chain has no anchor"
         )
     slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
+    s1 = power + 1.0
+    # factors[m][j] is the factor (s + 1) j - m of ``fractional_power``.
+    factors: list[list[float]] = [[]]
+    # Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
+    # and its power H_i = U_i**s.  us[i] and hs[i] hold the coefficients
+    # that no later parameter changes: indices 0..n-1-i once A_n is solved.
     params: list[float] = []
+    us: list[list[float]] = []
+    hs: list[list[float]] = []
     for n in range(1, series.order + 1):
-        at_zero = kernels.nested_expansion(params + [0.0], power, n)[n]
-        at_one = kernels.nested_expansion(params + [1.0], power, n)[n]
-        slope = at_one - at_zero
+        factors.append([s1 * j - n for j in range(n + 1)])
+        us.append([1.0])
+        hs.append([1.0])
+        # Order n appends index m = n - i at level i.  The recurrence sum
+        # for it runs over ascending j; the terms j < m do not involve A_n,
+        # so that part is summed once for all three passes below.
+        partial = []
+        for i in range(n):
+            m = n - i
+            acc = 0.0
+            for f, u, h in zip(factors[m][1:m], us[i][1:], reversed(hs[i][1:])):
+                acc += f * u * h
+            partial.append(acc)
+
+        def frontier(t: float, store: bool) -> float:
+            """Coefficient n of the whole form with A_n = t, innermost level
+            first; ``store`` appends each level's new coefficients."""
+            h = 0.0
+            for i in range(n - 1, -1, -1):
+                m = n - i
+                u = t if m == 1 else params[i] * h
+                # the j = m term; its H factor is h[0] = 1, so the product
+                # with it, exact, is left out
+                h = (partial[i] + factors[m][m] * u) / m
+                if store:
+                    us[i].append(u)
+                    hs[i].append(h)
+            return h
+
+        at_zero = frontier(0.0, False)
+        slope = frontier(1.0, False) - at_zero
         if abs(slope) < slope_floor:
             raise VanishingSensitivityError(n, slope)
-        params.append((coeffs[n] - at_zero) / slope)
-    return ContinuedRootApproximant(power, tuple(params))
+        a = (coeffs[n] - at_zero) / slope
+        frontier(a, True)
+        params.append(a)
+        yield a
+
+
+def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
+    """Fit a nested-root form whose expansion matches the series exactly.
+
+    Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
+    coefficient of the nested form is an affine function of A_n, read off at
+    the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
+    The resulting depth equals the series order.
+
+    The solve is incremental.  Each level of the form keeps the
+    coefficients of its bracket and of that bracket's s-th power that no
+    later parameter changes.  Order n appends one "frontier" coefficient
+    per level, from the innermost level outward, by the power recurrence of
+    ``fractional_power`` in its own operation order, so the trial values,
+    the slope and every parameter are bit-identical to those of two full
+    ``nested_expansion`` calls per order.  The sums that do not involve A_n
+    are shared by the two trials and by the final pass that stores the
+    solved level, so order n costs about n**2 / 2 multiply-adds and the fit
+    O(K**3) instead of O(K**4).
+
+    Args:
+        series: coefficients c0..cK with c0 = 1 and K >= 1.
+        power: the repeated nesting power s, non-zero.
+
+    Raises:
+        DegenerateSeriesError: the linear coefficient is zero.
+        VanishingSensitivityError: some coefficient no longer responds to
+            its parameter (slope below tolerance), typically after an
+            earlier parameter fitted to exactly zero.
+        ValueError: c0 != 1, K < 1, or power == 0.
+    """
+    return ContinuedRootApproximant(power, tuple(fit_parameters(series, power)))
 
 
 def fit_sequence(
     series: TruncatedSeries, power: float, orders: Iterable[int]
 ) -> list[ContinuedRootApproximant]:
-    """Fit one approximant per requested depth from truncations of a series."""
-    out = []
+    """One approximant per requested depth, from truncations of a series.
+
+    The parameters at depth k are the first k of every deeper fit, so one
+    fit at the largest requested depth serves them all.
+    """
+    orders = list(orders)
     for k in orders:
         if k > series.order:
             raise ValueError(
                 f"depth {k} exceeds the available series order {series.order}"
             )
-        out.append(fit(TruncatedSeries(series.coeffs[: k + 1]), power))
-    return out
+        if k < 1:
+            raise ValueError(f"depth must be at least 1, got {k}")
+    if not orders:
+        return []
+    deepest = max(orders)
+    params = fit(TruncatedSeries(series.coeffs[: deepest + 1]), power).params
+    return [ContinuedRootApproximant(power, params[:k]) for k in orders]
 
 
 def best_real_order(

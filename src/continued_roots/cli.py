@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from typing import Sequence
@@ -35,12 +36,11 @@ from typing import Sequence
 from . import corpus
 from .approximant import (
     ContinuedRootApproximant,
-    ExponentTarget,
     exponent_to_power,
     finite_order_exponent,
     fit,
 )
-from .diagnostics import ReportRow, herschfeld_terms, sequence_report
+from .diagnostics import ReportRow, depth_table, herschfeld_terms
 from .errors import ContinuedRootError, RealnessError
 from .series import TruncatedSeries
 
@@ -155,11 +155,11 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
     if (
         not isinstance(coeffs, list)
         or len(coeffs) < 2
-        or not all(isinstance(c, (int, float)) for c in coeffs)
+        or not all(_is_number(c) for c in coeffs)
     ):
         raise ValueError(
             "problem file field 'coefficients' must be a list of at least "
-            "two numbers"
+            "two finite numbers"
         )
     coeffs = [float(c) for c in coeffs]
     if coeffs[0] != 1.0:
@@ -168,9 +168,10 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
             f"entry is 1, got {coeffs[0]!r}"
         )
     beta = data["beta"]
-    if not isinstance(beta, (int, float)) or not beta > -0.5:
+    if not _is_number(beta) or not beta > -0.5:
         raise ValueError(
-            f"problem file field 'beta' must be a number above -1/2, got {beta!r}"
+            f"problem file field 'beta' must be a finite number above -1/2, "
+            f"got {beta!r}"
         )
     known_amplitude = _optional_number(data, "known_amplitude")
     observable_exact = _optional_number(data, "observable_exact")
@@ -204,9 +205,19 @@ def _optional_number(data: dict, field: str) -> float | None:
     if field not in data or data[field] is None:
         return None
     value = data[field]
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"problem file field {field!r} must be a number")
+    if not _is_number(value):
+        raise ValueError(f"problem file field {field!r} must be a finite number")
     return float(value)
+
+
+def _is_number(value: object) -> bool:
+    """True for a finite JSON number; JSON true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _resolve_problem(args: argparse.Namespace) -> corpus.BenchmarkProblem:
@@ -223,7 +234,7 @@ def _fit_order(problem: corpus.BenchmarkProblem, order: int) -> ContinuedRootApp
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _command_fit(args: argparse.Namespace) -> int:
@@ -243,44 +254,6 @@ def _command_fit(args: argparse.Namespace) -> int:
         }
     )
     return 0
-
-
-def _table_rows(problem: corpus.BenchmarkProblem, kmax: int) -> list[ReportRow]:
-    if kmax < 2:
-        raise ValueError(f"--kmax must be at least 2, got {kmax}")
-    target = ExponentTarget(problem.target_exponent, problem.known_amplitude)
-    power = exponent_to_power(problem.target_exponent)
-    coeffs = problem.coefficients(kmax)
-    fitted = []
-    failed: dict[int, str] = {}
-    for k in range(2, kmax + 1):
-        try:
-            fitted.append(fit(TruncatedSeries(tuple(coeffs[: k + 1])), power))
-        except ContinuedRootError as err:
-            failed[k] = str(err)
-    report = sequence_report(
-        fitted,
-        target,
-        observable_prefactor=problem.observable_prefactor,
-        match_point=problem.match_point,
-    )
-    by_order = {row.order: row for row in report.rows}
-    rows = []
-    for k in range(2, kmax + 1):
-        if k in failed:
-            rows.append(
-                ReportRow(
-                    order=k,
-                    amplitude=None,
-                    exponent=None,
-                    observable=None,
-                    percent_error=None,
-                    error=failed[k],
-                )
-            )
-        else:
-            rows.append(by_order[k])
-    return rows
 
 
 def _render_table_csv(rows: Sequence[ReportRow]) -> str:
@@ -327,7 +300,7 @@ def _render_table_json(
             for row in rows
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _render_table_human(
@@ -368,7 +341,7 @@ def _human_cell(value: float | None) -> str:
 
 def _command_table(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
-    rows = _table_rows(problem, args.kmax)
+    rows = depth_table(problem, args.kmax)
     if args.format == "csv":
         rendering = _render_table_csv(rows)
     elif args.format == "json":
@@ -384,6 +357,9 @@ def _command_table(args: argparse.Namespace) -> int:
 
 
 def _command_eval(args: argparse.Namespace) -> int:
+    for x in args.x:
+        if not math.isfinite(x):
+            raise ValueError(f"--x must be finite, got {x!r}")
     problem = _resolve_problem(args)
     approx = _fit_order(problem, args.order)
     points = [[x, approx.evaluate(x)] for x in args.x]

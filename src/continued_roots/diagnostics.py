@@ -5,7 +5,8 @@ radical, so a classical boundedness criterion applies: rewrite the form as
 a radical with depth-dependent root exponents and check that the rescaled
 inner terms stay below a finite cap.  ``herschfeld_terms`` computes that
 certificate for one approximant; ``sequence_report`` tabulates amplitude
-estimates across depths against a known limit.
+estimates across depths against a known limit, and ``depth_table`` builds
+that table for a problem from one fit at its largest depth.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ from typing import Sequence
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
+    exponent_to_power,
     finite_order_exponent,
+    fit_parameters,
 )
+from .corpus import BenchmarkProblem
 from .errors import ContinuedRootError, RealnessError
+from .series import TruncatedSeries
 
 
 def nested_radical_exponent(power: float, depth: int) -> float:
@@ -66,7 +71,9 @@ class ConvergenceDiagnostics:
         """
         if not self.power_valid:
             return False
-        cap = max(self.bound_limit, *self.bound_terms) if self.bound_terms else self.bound_limit
+        cap = self.bound_limit
+        if self.bound_terms:
+            cap = max(cap, self.bound_terms[0])
         return all(t <= cap * (1.0 + 1e-12) for t in self.bound_terms)
 
 
@@ -186,7 +193,6 @@ def sequence_report(
     rows = []
     for approx in approximants:
         try:
-            estimate = approx.amplitude_estimate(target.exponent, match_point)
             result = approx.amplitude()
         except ContinuedRootError as err:
             # The exponent depends only on power and depth, so report it
@@ -202,6 +208,7 @@ def sequence_report(
                 )
             )
             continue
+        estimate = result.estimate(target.exponent, match_point)
         percent = None
         if target.amplitude is not None:
             percent = (estimate - target.amplitude) / target.amplitude * 100.0
@@ -220,3 +227,49 @@ def sequence_report(
         observable_prefactor=observable_prefactor,
         match_point=match_point,
     )
+
+
+def depth_table(problem: BenchmarkProblem, kmax: int) -> list[ReportRow]:
+    """Extrapolation rows for depths 2..kmax of a problem.
+
+    One fit at ``kmax`` serves every depth, because the parameters at depth
+    k are the first k of any deeper fit.  When that fit fails at order n,
+    each depth k >= n gets a failed row with the error a fit at depth k
+    raises, which is the same one; shallower depths are reported from the
+    prefix fitted before the failure.
+
+    Raises ValueError when kmax is below 2 or the problem cannot supply
+    kmax coefficients, and the ValueError of ``fit`` for invalid series.
+    """
+    if kmax < 2:
+        raise ValueError(f"kmax must be at least 2, got {kmax}")
+    power = exponent_to_power(problem.target_exponent)
+    series = TruncatedSeries(tuple(problem.coefficients(kmax)))
+    params: list[float] = []
+    failure = None
+    try:
+        for a in fit_parameters(series, power):
+            params.append(a)
+    except ContinuedRootError as err:
+        failure = str(err)
+    report = sequence_report(
+        [
+            ContinuedRootApproximant(power, tuple(params[:k]))
+            for k in range(2, len(params) + 1)
+        ],
+        ExponentTarget(problem.target_exponent, problem.known_amplitude),
+        observable_prefactor=problem.observable_prefactor,
+        match_point=problem.match_point,
+    )
+    failed = [
+        ReportRow(
+            order=k,
+            amplitude=None,
+            exponent=None,
+            observable=None,
+            percent_error=None,
+            error=failure,
+        )
+        for k in range(max(2, len(params) + 1), kmax + 1)
+    ]
+    return list(report.rows) + failed

@@ -8,11 +8,20 @@ The nested-expansion helpers bound the float64 rounding error of the
 kernel a priori (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 3) and evaluate it exactly in rational arithmetic, so
 tests can derive tolerances from the arithmetic instead of tuning them.
+
+``reference_fit`` is the order-by-order fit that runs two full nested
+expansions per order, kept as the reference that the incremental ``fit``
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from continued_roots._backend import kernels
+from continued_roots.approximant import SLOPE_TOLERANCE, ContinuedRootApproximant
+from continued_roots.errors import DegenerateSeriesError, VanishingSensitivityError
+from continued_roots.series import TruncatedSeries
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -116,3 +125,36 @@ def exact_expansion_coefficient(
         p = power(u)
         u = [Fraction(1)] + [Fraction(a) * p[j - 1] for j in range(1, n)]
     return power(u)[order]
+
+
+def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
+    """Fit a nested-root form whose expansion matches the series exactly.
+
+    Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
+    coefficient of the nested form is an affine function of A_n, so each
+    step solves one linear equation built from two trial expansions.  The
+    resulting depth equals the series order.
+    """
+    coeffs = series.coeffs
+    if coeffs[0] != 1.0:
+        raise ValueError(
+            f"fit requires a series normalised to constant term 1, got {coeffs[0]!r}"
+        )
+    if series.order < 1:
+        raise ValueError("fit needs at least the linear coefficient")
+    if power == 0.0:
+        raise ValueError("nesting power must be non-zero")
+    if coeffs[1] == 0.0:
+        raise DegenerateSeriesError(
+            "linear coefficient is zero; the parameter chain has no anchor"
+        )
+    slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
+    params: list[float] = []
+    for n in range(1, series.order + 1):
+        at_zero = kernels.nested_expansion(params + [0.0], power, n)[n]
+        at_one = kernels.nested_expansion(params + [1.0], power, n)[n]
+        slope = at_one - at_zero
+        if abs(slope) < slope_floor:
+            raise VanishingSensitivityError(n, slope)
+        params.append((coeffs[n] - at_zero) / slope)
+    return ContinuedRootApproximant(power, tuple(params))

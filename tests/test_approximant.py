@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from continued_roots import (
     ComplexBreakdownError,
     ContinuedRootApproximant,
+    ContinuedRootError,
     DegenerateSeriesError,
     ExponentTarget,
     NoRealApproximantError,
@@ -22,10 +23,16 @@ from continued_roots import (
     fit,
     fit_sequence,
     power_to_exponent,
+    problem,
     string_coefficients,
 )
 
-from oracles import exact_expansion_coefficient, expansion_majorant, gamma
+from oracles import (
+    exact_expansion_coefficient,
+    expansion_majorant,
+    gamma,
+    reference_fit,
+)
 
 # Powers and parameters bounded away from 0 keep the instance family
 # well conditioned at typical depths, though deep draws combining a
@@ -40,6 +47,34 @@ nonzero_params = st.one_of(
     st.floats(min_value=-2.0, max_value=-0.05),
 )
 param_lists = st.lists(nonzero_params, min_size=1, max_size=8)
+
+# The incremental fit must reproduce the two-trial reference on any input,
+# including powers outside the contracting range, the reciprocal power -1
+# and deep chains whose slopes fall under the degeneracy floor.
+any_powers = st.one_of(
+    nonzero_powers,
+    st.just(-1.0),
+    st.floats(min_value=1.05, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=-1.05),
+)
+deep_param_lists = st.lists(nonzero_params, min_size=1, max_size=24)
+free_coefficients = st.lists(
+    st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=24
+)
+
+
+def fit_outcome(fitter, series, s):
+    """Parameters as float.hex, which tells -0.0 from 0.0, or the error."""
+    try:
+        return [a.hex() for a in fitter(series, s).params]
+    except ContinuedRootError as err:
+        slope = getattr(err, "slope", None)
+        return (
+            type(err),
+            getattr(err, "order", None),
+            None if slope is None else slope.hex(),
+            str(err),
+        )
 
 
 class TestExponentAlgebra:
@@ -313,6 +348,47 @@ class TestFit:
         assert baseline.coeffs[: m + 1] == perturbed.coeffs[: m + 1]
 
 
+class TestFitMatchesReference:
+    @given(any_powers, deep_param_lists)
+    @example(-1.0, [1.0, -0.5, 2.0, 0.25])
+    @example(0.5, [1.0, 0.0, 0.5, 1.0])
+    def test_known_instance_bitwise(self, s, params):
+        series = ContinuedRootApproximant(s, tuple(params)).expand(len(params))
+        assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
+
+    @given(any_powers, free_coefficients)
+    def test_free_series_bitwise(self, s, coeffs):
+        series = TruncatedSeries((1.0, *coeffs))
+        assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
+
+    @pytest.mark.parametrize("name", ["fluid_string", "nls_coherent_modes"])
+    def test_builtin_problems_bitwise(self, name):
+        prob = problem(name)
+        s = exponent_to_power(prob.target_exponent)
+        for k in range(1, (prob.max_order or 16) + 1):
+            series = TruncatedSeries(tuple(prob.coefficients(k)))
+            assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
+
+    def test_string_depth_fourteen_error_matches(self):
+        # the slope s**14 A1...A13 is 3.8e-15, under the absolute floor
+        prob = problem("fluid_string")
+        series = TruncatedSeries(tuple(prob.coefficients(14)))
+        got = fit_outcome(fit, series, exponent_to_power(prob.target_exponent))
+        want = fit_outcome(
+            reference_fit, series, exponent_to_power(prob.target_exponent)
+        )
+        assert got == want
+        assert got[:2] == (VanishingSensitivityError, 14)
+
+    def test_zero_parameter_error_matches(self):
+        # A2 fits to exactly zero, so the cubic slope is exactly zero
+        s = 0.5
+        series = ContinuedRootApproximant(s, (1.0, 0.0, 0.5)).expand(3)
+        got = fit_outcome(fit, series, s)
+        assert got == fit_outcome(reference_fit, series, s)
+        assert got[:3] == (VanishingSensitivityError, 3, (0.0).hex())
+
+
 class TestFitSequence:
     def test_matches_individual_fits(self):
         series = TruncatedSeries((1.0, 1.0, -0.125, 0.03125))
@@ -325,6 +401,29 @@ class TestFitSequence:
         series = TruncatedSeries((1.0, 1.0))
         with pytest.raises(ValueError, match="exceeds"):
             fit_sequence(series, 0.4, [1, 2])
+        with pytest.raises(ValueError, match="exceeds"):
+            fit_sequence(TruncatedSeries((1.0, 1.0, -0.125)), 0.4, [2, 5, 1])
+
+    def test_unsorted_orders_are_bitwise_prefixes(self):
+        series = TruncatedSeries(tuple(string_coefficients(13)))
+        s = exponent_to_power(2.0)
+        orders = [7, 2, 13, 5, 13, 1]
+        fits = fit_sequence(series, s, orders)
+        assert [f.order for f in fits] == orders
+        for k, fitted in zip(orders, fits):
+            want = reference_fit(TruncatedSeries(series.coeffs[: k + 1]), s)
+            assert [a.hex() for a in fitted.params] == [
+                a.hex() for a in want.params
+            ]
+
+    def test_failure_only_past_the_deepest_order(self):
+        prob = problem("fluid_string")
+        series = TruncatedSeries(tuple(prob.coefficients(16)))
+        s = exponent_to_power(prob.target_exponent)
+        assert len(fit_sequence(series, s, range(2, 14))) == 12
+        with pytest.raises(VanishingSensitivityError) as excinfo:
+            fit_sequence(series, s, range(2, 17))
+        assert excinfo.value.order == 14
 
 
 class TestEvaluate:

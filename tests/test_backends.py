@@ -161,10 +161,11 @@ def test_full_pipeline_agrees_across_backends():
         env=child_env("python"),
     )
     assert proc.returncode == 0, proc.stderr
-    from continued_roots.cli import _render_table_csv, _table_rows
+    from continued_roots.cli import _render_table_csv
     from continued_roots.corpus import problem
+    from continued_roots.diagnostics import depth_table
 
-    local = _render_table_csv(_table_rows(problem("fluid_string"), 13))
+    local = _render_table_csv(depth_table(problem("fluid_string"), 13))
     pure_rows = proc.stdout.strip().splitlines()
     local_rows = local.strip().splitlines()
     assert len(pure_rows) == len(local_rows)

@@ -11,7 +11,23 @@ from pathlib import Path
 
 import pytest
 
-from continued_roots.cli import main
+from continued_roots import (
+    ContinuedRootError,
+    ExponentTarget,
+    ReportRow,
+    TruncatedSeries,
+    exponent_to_power,
+    problem,
+    sequence_report,
+)
+from continued_roots.cli import (
+    _render_table_csv,
+    _render_table_human,
+    _render_table_json,
+    main,
+)
+
+from oracles import reference_fit
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -19,6 +35,42 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity tokens JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def reference_rows(prob, kmax):
+    """Report rows from one reference fit per depth, a failed fit giving a
+    row with only the error."""
+    target = ExponentTarget(prob.target_exponent, prob.known_amplitude)
+    power = exponent_to_power(prob.target_exponent)
+    coeffs = prob.coefficients(kmax)
+    fitted, failed = [], {}
+    for k in range(2, kmax + 1):
+        try:
+            fitted.append(reference_fit(TruncatedSeries(tuple(coeffs[: k + 1])), power))
+        except ContinuedRootError as err:
+            failed[k] = str(err)
+    report = sequence_report(
+        fitted,
+        target,
+        observable_prefactor=prob.observable_prefactor,
+        match_point=prob.match_point,
+    )
+    by_order = {row.order: row for row in report.rows}
+    return [
+        ReportRow(k, None, None, None, None, error=failed[k])
+        if k in failed
+        else by_order[k]
+        for k in range(2, kmax + 1)
+    ]
 
 
 def write_problem(tmp_path, **overrides):
@@ -121,6 +173,47 @@ class TestProblemFileValidation:
         assert code == 1
         assert "beta" in json.loads(out)["message"]
 
+    def assert_rejected(self, capsys, path, field):
+        code, out = run_cli(capsys, "fit", "--file", path, "--order", "2")
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert field in payload["message"]
+
+    def test_nan_coefficient_rejected(self, capsys, tmp_path):
+        path = write_problem(tmp_path, coefficients=[1.0, float("nan"), 0.1])
+        self.assert_rejected(capsys, path, "coefficients")
+
+    def test_infinite_beta_rejected(self, capsys, tmp_path):
+        path = write_problem(tmp_path, beta=float("inf"))
+        self.assert_rejected(capsys, path, "beta")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coefficients", [1, True, 0.1]),
+            ("beta", True),
+            ("known_amplitude", False),
+            ("match_point", True),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, capsys, tmp_path, field, value):
+        overrides = {"coefficients": [1.0, 0.5, 0.1], field: value}
+        self.assert_rejected(capsys, write_problem(tmp_path, **overrides), field)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("known_amplitude", float("nan")),
+            ("observable_exact", float("-inf")),
+            ("observable_prefactor", float("inf")),
+            ("coefficients", [1, 10**400]),
+        ],
+    )
+    def test_non_finite_number_rejected(self, capsys, tmp_path, field, value):
+        overrides = {"coefficients": [1.0, 0.5, 0.1], field: value}
+        self.assert_rejected(capsys, write_problem(tmp_path, **overrides), field)
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -155,6 +248,24 @@ class TestTable:
         observables = [float(r[3]) for r in rows[1:]]
         assert observables[0] == pytest.approx(0.047705, abs=1e-5)
         assert observables[-1] == pytest.approx(0.078363, abs=1e-5)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_matches_rows_of_the_reference_fit(self, capsys, fmt):
+        # depths 14..16 fail: every row past the failure carries its error
+        string = problem("fluid_string")
+        rows = reference_rows(string, 16)
+        assert [row.failed for row in rows] == [False] * 12 + [True] * 3
+        want = {
+            "table": lambda: _render_table_human(string, rows),
+            "json": lambda: _render_table_json(string, rows),
+            "csv": lambda: _render_table_csv(rows),
+        }[fmt]()
+        code, out = run_cli(
+            capsys, "table", "--problem", "fluid_string", "--kmax", "16",
+            "--format", fmt,
+        )
+        assert code == 1
+        assert out == want
 
     def test_error_cells_empty_without_baseline(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 0.5, 0.1])
@@ -358,6 +469,23 @@ class TestEval:
         assert code == 1
         assert json.loads(out)["error"] == "invalid-input"
 
+    def test_non_finite_points_rejected(self, capsys):
+        for points in (["nan", "inf"], ["1", "nan"]):
+            code, out = run_cli(
+                capsys,
+                "eval",
+                "--problem",
+                "fluid_membrane",
+                "--order",
+                "4",
+                "--x",
+                *points,
+            )
+            assert code == 1
+            payload = strict_json(out)
+            assert payload["error"] == "invalid-input"
+            assert "--x" in payload["message"]
+
     def test_complex_breakdown_reported(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 1.0, -10.0])
         code, out = run_cli(
@@ -399,6 +527,15 @@ class TestDiagnose:
         payload = json.loads(out)
         assert payload["bound_limit"] == pytest.approx(1406.25, rel=1e-12)
         assert max(payload["bound_terms"]) <= payload["bound_limit"] * (1 + 1e-12)
+
+    def test_non_finite_result_is_a_typed_error(self, capsys):
+        # an infinite interval makes the cap infinite, which JSON cannot hold
+        code, out = run_cli(
+            capsys, "diagnose", "--problem", "fluid_string", "--order", "8",
+            "--L", "inf",
+        )
+        assert code == 1
+        assert strict_json(out)["error"] == "invalid-input"
 
     def test_non_real_fit_reported(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 1.0, -10.0])

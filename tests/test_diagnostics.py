@@ -7,12 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from continued_roots import (
+    BenchmarkProblem,
     ContinuedRootApproximant,
+    ContinuedRootError,
     ConvergenceDiagnostics,
     ExponentTarget,
     RealnessError,
     TruncatedSeries,
+    depth_table,
     exponent_to_power,
+    fit,
     fit_sequence,
     herschfeld_terms,
     nested_radical_exponent,
@@ -110,6 +114,18 @@ class TestHerschfeldTerms:
         diag = herschfeld_terms(approx, 1.0)
         assert list(diag.bound_terms) == sorted(diag.bound_terms, reverse=True)
         assert diag.bounded
+
+    def test_negative_power_overshoot_is_not_bounded(self):
+        # with s = -a the depth-3 term is (L*M)**(a**3 / (1 + a)) times the
+        # limit, above both the limit and the first term when L*M > 1
+        approx = ContinuedRootApproximant(-0.5, (2.0, 2.0, 2.0))
+        diag = herschfeld_terms(approx, 10.0)
+        first, third = diag.bound_terms
+        assert first < diag.bound_limit < third
+        assert third == pytest.approx(
+            diag.bound_limit * 20.0 ** (0.125 / 1.5), rel=1e-13
+        )
+        assert not diag.bounded
 
     def test_exponent_count_matches_depth(self):
         approx = ContinuedRootApproximant(0.5, (1.0, 0.5, 0.25))
@@ -213,6 +229,25 @@ class TestSequenceReport:
         for row in report.rows[:-1]:
             assert not row.failed
 
+    def test_one_amplitude_call_per_row(self, monkeypatch):
+        fits, modes = self.fits()
+        target = ExponentTarget(modes.target_exponent, modes.known_amplitude)
+        amplitude = ContinuedRootApproximant.amplitude
+        calls = []
+
+        def counted(approx):
+            calls.append(approx.order)
+            return amplitude(approx)
+
+        monkeypatch.setattr(ContinuedRootApproximant, "amplitude", counted)
+        report = sequence_report(fits, target, match_point=7.0)
+        assert calls == [2, 3, 4, 5]
+        monkeypatch.undo()
+        for fit_k, row in zip(fits, report.rows):
+            assert row.observable == fit_k.amplitude_estimate(
+                modes.target_exponent, 7.0
+            )
+
     def test_orders_must_increase(self):
         fits, modes = self.fits()
         target = ExponentTarget(modes.target_exponent)
@@ -238,3 +273,52 @@ class TestSequenceReport:
         assert report.known_observable == pytest.approx(
             math.pi**2 / 128, rel=1e-15
         )
+
+
+class TestDepthTable:
+    def test_rows_match_a_report_of_the_fit_sequence(self):
+        wall = problem("fluid_string")
+        series = TruncatedSeries(tuple(wall.coefficients(13)))
+        fits = fit_sequence(
+            series, exponent_to_power(wall.target_exponent), range(2, 14)
+        )
+        report = sequence_report(
+            fits,
+            ExponentTarget(wall.target_exponent, wall.known_amplitude),
+            observable_prefactor=wall.observable_prefactor,
+            match_point=wall.match_point,
+        )
+        assert depth_table(wall, 13) == list(report.rows)
+
+    def test_failure_fails_every_deeper_row_with_its_own_error(self):
+        wall = problem("fluid_string")
+        power = exponent_to_power(wall.target_exponent)
+        rows = depth_table(wall, 16)
+        assert [row.order for row in rows] == list(range(2, 17))
+        assert depth_table(wall, 13) == rows[:12]
+        for row in rows[12:]:
+            with pytest.raises(ContinuedRootError) as excinfo:
+                fit(TruncatedSeries(tuple(wall.coefficients(row.order))), power)
+            assert row.error == str(excinfo.value)
+            assert "x^14" in row.error
+            assert (row.amplitude, row.exponent, row.observable) == (None,) * 3
+            assert row.percent_error is None
+
+    def test_degenerate_series_fails_every_row(self):
+        flat = BenchmarkProblem(
+            name="flat",
+            target_exponent=1.0,
+            observable_prefactor=1.0,
+            match_point=1.0,
+            max_order=3,
+            known_amplitude=None,
+            observable_exact=None,
+            _generator=lambda order: [1.0, 0.0, 0.5, 0.1][: order + 1],
+        )
+        rows = depth_table(flat, 3)
+        assert [row.order for row in rows] == [2, 3]
+        assert all("linear coefficient is zero" in row.error for row in rows)
+
+    def test_kmax_domain(self):
+        with pytest.raises(ValueError, match="kmax"):
+            depth_table(problem("fluid_string"), 1)
