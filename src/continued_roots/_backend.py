@@ -1,41 +1,13 @@
-"""Kernel backend selection.
+"""The kernel module and its name, as the benchmark reads them.
 
-Imports the compiled extension when it is available and falls back to the
-pure-Python twin otherwise.  Set ``CONTINUED_ROOTS_BACKEND`` to ``python``
-or ``compiled`` before import to force a choice; ``auto`` (the default)
-prefers the extension.
+The package has one kernel implementation, ``_kernels_py``, which its
+modules import directly.  This module remains because ``perfbench/``
+wraps the functions of ``kernels`` and reports ``backend_name()``.
 """
 
-from __future__ import annotations
-
-import os
-
-_choice = os.environ.get("CONTINUED_ROOTS_BACKEND", "auto").strip().lower()
-
-if _choice in ("auto", ""):
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels
-
-        BACKEND = "python"
-elif _choice == "compiled":
-    from . import _kernels as kernels  # type: ignore[attr-defined]
-
-    BACKEND = "compiled"
-elif _choice == "python":
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    raise ValueError(
-        f"CONTINUED_ROOTS_BACKEND must be 'auto', 'python', or 'compiled', "
-        f"got {_choice!r}"
-    )
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation; always ``"python"``."""
+    return "python"

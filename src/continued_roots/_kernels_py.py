@@ -1,8 +1,7 @@
 """Pure-Python kernels for truncated-series and nested-root arithmetic.
 
-This is the fallback twin of the compiled extension ``_kernels``.  The two
-modules expose identical functions with identical semantics, operating on
-plain lists of floats; keep any change mirrored in both.
+These are the package's only kernels.  They operate on plain lists of
+floats.
 
 A series is represented by its coefficients ``c[0..K]`` for a fixed
 truncation order ``K``.  No function here validates arguments beyond what

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .errors import (
     ComplexBreakdownError,
     DegenerateSeriesError,

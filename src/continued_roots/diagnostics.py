@@ -11,6 +11,7 @@ that table for a problem from one fit at its largest depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,6 +86,8 @@ def herschfeld_terms(
     With L = variable_bound and M the largest parameter, the term at depth
     n is (L*M)**(gamma_n * s**n), n = 2..k.  All parameters must be
     strictly positive and |s| must be below 1 for the criterion to apply.
+    A ValueError naming L*M is raised when L*M or a term leaves the float
+    range.
     """
     s = approximant.power
     if not abs(s) < 1.0:
@@ -108,16 +111,27 @@ def herschfeld_terms(
     exponents = tuple(
         nested_radical_exponent(s, n) for n in range(2, approximant.order + 1)
     )
-    terms = tuple(
-        lm ** (g * s**n) for g, n in zip(exponents, range(2, approximant.order + 1))
+    out_of_range = ValueError(
+        f"the boundedness terms leave the float range for "
+        f"L*max(A) = {variable_bound!r} * {m!r}"
     )
+    if lm == math.inf:
+        raise out_of_range
+    try:
+        terms = tuple(
+            lm ** (g * s**n)
+            for g, n in zip(exponents, range(2, approximant.order + 1))
+        )
+        limit = lm ** (s / (1.0 - s))
+    except (OverflowError, ZeroDivisionError):
+        raise out_of_range from None
     return ConvergenceDiagnostics(
         power=s,
         variable_bound=variable_bound,
         param_bound=m,
         radical_exponents=exponents,
         bound_terms=terms,
-        bound_limit=lm ** (s / (1.0 - s)),
+        bound_limit=limit,
         power_valid=abs(s) < 1.0,
     )
 

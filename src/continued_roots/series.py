@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from continued_roots._backend import kernels
+from continued_roots import _kernels_py as kernels
 from continued_roots.approximant import SLOPE_TOLERANCE, ContinuedRootApproximant
 from continued_roots.errors import DegenerateSeriesError, VanishingSensitivityError
 from continued_roots.series import TruncatedSeries

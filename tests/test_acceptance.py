@@ -25,7 +25,7 @@ from continued_roots import (
     string_coefficients_exact,
     string_exact_f,
 )
-from continued_roots._backend import kernels
+from continued_roots import _kernels_py as kernels
 
 
 @contextlib.contextmanager

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -537,6 +538,16 @@ class TestDiagnose:
         assert code == 1
         assert strict_json(out)["error"] == "invalid-input"
 
+    def test_overflowing_terms_are_a_typed_error(self, capsys):
+        code, out = run_cli(
+            capsys, "diagnose", "--problem", "fluid_string", "--order", "8",
+            "--L", "1e308",
+        )
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert "L*max(A)" in payload["message"]
+
     def test_non_real_fit_reported(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 1.0, -10.0])
         code, out = run_cli(
@@ -614,6 +625,22 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["s"] == pytest.approx(2.0 / 3.0)
+
+    def test_backend_variable_selects_nothing(self):
+        # there is one kernel implementation, so an environment that still
+        # sets this variable must not change or break the import
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import continued_roots as cr; print(cr.backend_name())",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "CONTINUED_ROOTS_BACKEND": "compiled"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "python"
 
     @pytest.mark.skipif(
         shutil.which("continued-roots") is None,

@@ -150,6 +150,19 @@ class TestHerschfeldTerms:
         with pytest.raises(ValueError, match="positive"):
             herschfeld_terms(ContinuedRootApproximant(0.5, (1.0,)), 0.0)
 
+    @pytest.mark.parametrize(
+        "power, params, variable_bound",
+        [
+            (2.0 / 3.0, (0.5, 0.25, 0.125), 1e308),  # L*M ** 2 overflows
+            (-0.5, (0.25, 0.25), 5e-324),  # L*M is 0, raised to -1/2
+            (0.5, (1.0, 1.0), math.inf),  # L*M is infinite
+        ],
+    )
+    def test_terms_beyond_float_range_rejected(self, power, params, variable_bound):
+        approx = ContinuedRootApproximant(power, params)
+        with pytest.raises(ValueError, match=r"L\*max\(A\)"):
+            herschfeld_terms(approx, variable_bound)
+
     def test_invalid_power_flag_blocks_bounded(self):
         diag = ConvergenceDiagnostics(
             power=1.5,
