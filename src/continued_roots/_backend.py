@@ -1,11 +1,12 @@
 """The kernel module and its name, as the benchmark reads them.
 
-The package has one kernel implementation, ``_kernels_py``, which its
-modules import directly.  This module remains because ``perfbench/``
-wraps the functions of ``kernels`` and reports ``backend_name()``.
+``perfbench/`` wraps ``kernels.nested_expansion`` and
+``kernels.nested_evaluate`` and reports ``backend_name()``.  Both functions
+live in ``approximant``, which calls them by their module-level names, so
+the wrappers see every call.
 """
 
-from . import _kernels_py as kernels
+from . import approximant as kernels
 
 
 def backend_name() -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import _kernels_py as kernels
 from .errors import (
     ComplexBreakdownError,
     DegenerateSeriesError,
@@ -140,9 +139,7 @@ class ContinuedRootApproximant:
         """
         if order < 0:
             raise ValueError(f"expansion order must be non-negative, got {order}")
-        return TruncatedSeries(
-            tuple(kernels.nested_expansion(list(self.params), self.power, order))
-        )
+        return TruncatedSeries(tuple(nested_expansion(self.params, self.power, order)))
 
     def evaluate(self, x: float) -> float:
         """Value of the nested form at x >= 0.
@@ -153,12 +150,7 @@ class ContinuedRootApproximant:
         """
         if x < 0.0:
             raise ValueError(f"argument must be non-negative, got {x!r}")
-        value, depth = kernels.nested_evaluate(
-            list(self.params), self.power, float(x), float(self.power).is_integer()
-        )
-        if depth:
-            raise ComplexBreakdownError(depth, x)
-        return value
+        return nested_evaluate(self.params, self.power, float(x))
 
     def amplitude(self) -> AmplitudeResult:
         """Large-argument power law of this form.
@@ -231,13 +223,102 @@ class ContinuedRootApproximant:
         return q, p
 
 
+class _Expansion:
+    """Taylor coefficients of the nested form, built one order at a time.
+
+    Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
+    and its power H_i = U_i**s; ``us[i]`` and ``hs[i]`` hold the
+    coefficients found so far.  Order n appends index m = n - i at every
+    level, innermost first, by the recurrence of u h' = s u' h:
+    h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed
+    from 0.0 in ascending j.  ``begin`` sums the terms j < m once, so
+    ``frontier`` can be run for several values of the innermost level's new
+    bracket coefficient.  ``params`` holds A_i of every outer level.
+    """
+
+    def __init__(self, power: float, params: Sequence[float]):
+        self.s1 = power + 1.0
+        self.params = params
+        self.us: list[list[float]] = []
+        self.hs: list[list[float]] = []
+        # factors[m][j] is the factor (s + 1) j - m of the recurrence
+        self.factors: list[list[float]] = [[]]
+
+    def begin(self, new_level: bool) -> None:
+        """Start the next order, below a new innermost level if asked."""
+        n = len(self.factors)
+        self.factors.append([self.s1 * j - n for j in range(n + 1)])
+        if new_level:
+            self.us.append([1.0])
+            self.hs.append([1.0])
+        partial = self.partial = []
+        for us, hs, f in zip(self.us, self.hs, reversed(self.factors)):
+            # at level i, f is factors[n - i] and us, hs hold indices < n - i
+            acc = 0.0
+            for fj, u, h in zip(f[1:-1], us[1:], reversed(hs[1:])):
+                acc += fj * u * h
+            partial.append(acc)
+
+    def frontier(self, t: float, store: bool) -> float:
+        """Coefficient n of the whole form when the innermost level's new
+        bracket coefficient is t; ``store`` appends each level's new ones."""
+        factors, partial, params = self.factors, self.partial, self.params
+        us, hs = self.us, self.hs
+        n = len(factors) - 1
+        innermost = len(partial) - 1
+        h = 0.0
+        for i in range(innermost, -1, -1):
+            m = n - i
+            u = t if i == innermost else params[i] * h
+            # the j = m term; its H factor is h[0] = 1, so the product with
+            # it, exact, is left out
+            h = (partial[i] + factors[m][m] * u) / m
+            if store:
+                us[i].append(u)
+                hs[i].append(h)
+        return h
+
+
+def nested_expansion(params: Sequence[float], s: float, order: int) -> list[float]:
+    """Taylor coefficients c0..c_order of the nested form (params non-empty).
+
+    Past the depth no level is added and the innermost bracket contributes 0.
+    """
+    expansion = _Expansion(s, params)
+    coeffs = [1.0]
+    for n in range(1, order + 1):
+        deeper = n <= len(params)
+        expansion.begin(deeper)
+        coeffs.append(expansion.frontier(params[n - 1] if deeper else 0.0, True))
+    return coeffs
+
+
+def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
+    """Value of the nested form at x, innermost bracket outward.
+
+    Raises ComplexBreakdownError with the 1-based depth of the first bracket
+    whose base is negative under a non-integer power or zero under a
+    negative power.
+    """
+    integer_power = float(s).is_integer()
+    h = 1.0
+    for depth in range(len(params), 0, -1):
+        u = 1.0 + params[depth - 1] * x * h
+        if (u < 0.0 and not integer_power) or (u == 0.0 and s < 0.0):
+            raise ComplexBreakdownError(depth, x)
+        h = u**s
+    return h
+
+
 def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     """Yield the fitted parameters A1, A2, ... of ``series``, one per order.
 
     The n-th value is the one ``fit`` returns at any depth >= n, so a
     caller can stop early or keep the prefix fitted before a failure; the
     error for order n is raised when the n-th value is requested.  Arguments
-    and errors are those of ``fit``.
+    and errors are those of ``fit``.  Order n adds level A_n to the shared
+    expansion, runs its frontier at the trials A_n = 0 and 1, and stores it
+    at the solved A_n.
     """
     coeffs = series.coeffs
     if coeffs[0] != 1.0:
@@ -253,51 +334,16 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
             "linear coefficient is zero; the parameter chain has no anchor"
         )
     slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
-    s1 = power + 1.0
-    # factors[m][j] is the factor (s + 1) j - m of ``fractional_power``.
-    factors: list[list[float]] = [[]]
-    # Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
-    # and its power H_i = U_i**s.  us[i] and hs[i] hold the coefficients
-    # that no later parameter changes: indices 0..n-1-i once A_n is solved.
     params: list[float] = []
-    us: list[list[float]] = []
-    hs: list[list[float]] = []
+    expansion = _Expansion(power, params)
     for n in range(1, series.order + 1):
-        factors.append([s1 * j - n for j in range(n + 1)])
-        us.append([1.0])
-        hs.append([1.0])
-        # Order n appends index m = n - i at level i.  The recurrence sum
-        # for it runs over ascending j; the terms j < m do not involve A_n,
-        # so that part is summed once for all three passes below.
-        partial = []
-        for i in range(n):
-            m = n - i
-            acc = 0.0
-            for f, u, h in zip(factors[m][1:m], us[i][1:], reversed(hs[i][1:])):
-                acc += f * u * h
-            partial.append(acc)
-
-        def frontier(t: float, store: bool) -> float:
-            """Coefficient n of the whole form with A_n = t, innermost level
-            first; ``store`` appends each level's new coefficients."""
-            h = 0.0
-            for i in range(n - 1, -1, -1):
-                m = n - i
-                u = t if m == 1 else params[i] * h
-                # the j = m term; its H factor is h[0] = 1, so the product
-                # with it, exact, is left out
-                h = (partial[i] + factors[m][m] * u) / m
-                if store:
-                    us[i].append(u)
-                    hs[i].append(h)
-            return h
-
-        at_zero = frontier(0.0, False)
-        slope = frontier(1.0, False) - at_zero
+        expansion.begin(True)
+        at_zero = expansion.frontier(0.0, False)
+        slope = expansion.frontier(1.0, False) - at_zero
         if abs(slope) < slope_floor:
             raise VanishingSensitivityError(n, slope)
         a = (coeffs[n] - at_zero) / slope
-        frontier(a, True)
+        expansion.frontier(a, True)
         params.append(a)
         yield a
 
@@ -310,16 +356,13 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
     The resulting depth equals the series order.
 
-    The solve is incremental.  Each level of the form keeps the
-    coefficients of its bracket and of that bracket's s-th power that no
-    later parameter changes.  Order n appends one "frontier" coefficient
-    per level, from the innermost level outward, by the power recurrence of
-    ``fractional_power`` in its own operation order, so the trial values,
-    the slope and every parameter are bit-identical to those of two full
-    ``nested_expansion`` calls per order.  The sums that do not involve A_n
-    are shared by the two trials and by the final pass that stores the
-    solved level, so order n costs about n**2 / 2 multiply-adds and the fit
-    O(K**3) instead of O(K**4).
+    The solve is incremental: ``fit_parameters`` adds one level per order
+    to the same order-by-order expansion that ``expand`` runs.  Order n
+    appends one coefficient per level, and only these depend on A_n; the
+    sums that do not are shared by the two trials and by the final pass
+    that stores the solved level, so order n costs about n**2 / 2
+    multiply-adds and the fit O(K**3).  The trial values, the slope and
+    every parameter are bit for bit those of two full expansions per order.
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.

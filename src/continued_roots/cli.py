@@ -17,9 +17,11 @@ JSON problem file (``--file``) with fields ``name``, ``coefficients``
 ``observable_prefactor`` (default 1), ``observable_exact`` and
 ``match_point`` (default 1).
 
-Errors are reported as a JSON object ``{"error": kind, "message": ...}``
-on stdout with a non-zero exit status.  The exit status is zero exactly
-when no error object was emitted and no report row failed.
+Errors, usage errors included, are reported as a JSON object
+``{"error": kind, "message": ...}`` on stdout with a non-zero exit status.
+The exit status is zero exactly when no error object was emitted and no
+report row failed.  Depths above ``MAX_DEPTH`` are rejected before any
+coefficient is generated.
 """
 
 from __future__ import annotations
@@ -46,9 +48,19 @@ from .series import TruncatedSeries
 
 CSV_HEADER = ["k", "B_k", "beta_k", "observable", "percent_error"]
 
+# Largest --order and --kmax; the fit costs O(K^3), about 0.5 s at 256.
+MAX_DEPTH = 256
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` prints them as JSON errors."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="continued-roots",
         description="Extrapolate small-argument expansions to large-argument "
         "power laws with continued-root approximants.",
@@ -226,9 +238,15 @@ def _resolve_problem(args: argparse.Namespace) -> corpus.BenchmarkProblem:
     return load_problem_file(args.file)
 
 
+def _check_depth(option: str, value: int) -> None:
+    if value > MAX_DEPTH:
+        raise ValueError(f"{option} must be at most {MAX_DEPTH}, got {value}")
+
+
 def _fit_order(problem: corpus.BenchmarkProblem, order: int) -> ContinuedRootApproximant:
     if order < 1:
         raise ValueError(f"--order must be at least 1, got {order}")
+    _check_depth("--order", order)
     series = TruncatedSeries(tuple(problem.coefficients(order)))
     return fit(series, exponent_to_power(problem.target_exponent))
 
@@ -341,6 +359,7 @@ def _human_cell(value: float | None) -> str:
 
 def _command_table(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
+    _check_depth("--kmax", args.kmax)
     rows = depth_table(problem, args.kmax)
     if args.format == "csv":
         rendering = _render_table_csv(rows)
@@ -398,6 +417,7 @@ def _command_diagnose(args: argparse.Namespace) -> int:
 def _command_pade_check(args: argparse.Namespace) -> int:
     if args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
+    _check_depth("--order", args.order)
     rng = random.Random(args.seed)
     params = tuple(rng.uniform(0.1, 2.0) for _ in range(args.order))
     approx = ContinuedRootApproximant(-1.0, params)
@@ -435,8 +455,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ContinuedRootError as err:
         _print_json({"error": err.kind, "message": str(err)})

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import _kernels_py as kernels
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -57,23 +55,35 @@ class TruncatedSeries:
                 f"cannot multiply series of different orders "
                 f"({self.order} and {other.order})"
             )
-        return TruncatedSeries(
-            tuple(kernels.cauchy_product(list(self.coeffs), list(other.coeffs)))
-        )
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        out = [0.0] * n
+        for i in range(n):
+            ai = a[i]
+            for j in range(n - i):
+                out[i + j] += ai * b[j]
+        return TruncatedSeries(tuple(out))
 
     def power(self, exponent: float) -> "TruncatedSeries":
         """Raise the series to a real power.
 
         The constant term must be exactly 1, which makes the result
-        well-defined termwise for any real exponent.
+        well-defined termwise for any real exponent.  Uses the power
+        recurrence: differentiating h = u**s gives u h' = s u' h, and
+        matching coefficients yields each h[m] from the earlier ones, in
+        O(K^2) total.
         """
-        if self.coeffs[0] != 1.0:
-            raise ValueError(
-                f"series power requires constant term 1, got {self.coeffs[0]!r}"
-            )
-        return TruncatedSeries(
-            tuple(kernels.fractional_power(list(self.coeffs), float(exponent)))
-        )
+        u = self.coeffs
+        if u[0] != 1.0:
+            raise ValueError(f"series power requires constant term 1, got {u[0]!r}")
+        s = float(exponent)
+        h = [1.0] * len(u)
+        for m in range(1, len(u)):
+            acc = 0.0
+            for j in range(1, m + 1):
+                acc += ((s + 1.0) * j - m) * u[j] * h[m - j]
+            h[m] = acc / m
+        return TruncatedSeries(tuple(h))
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""

@@ -1,14 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 The fractional power here goes through exp(s * log(u)), a different
-recurrence from the production kernel, so agreement between the two is a
-real cross-check rather than a tautology.
+recurrence from ``TruncatedSeries.power``, so agreement between the two is
+a real cross-check rather than a tautology.
 
 The nested-expansion helpers bound the float64 rounding error of the
-kernel a priori (Higham, *Accuracy and Stability of Numerical
+expansion a priori (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 3) and evaluate it exactly in rational arithmetic, so
 tests can derive tolerances from the arithmetic instead of tuning them.
 
+``fractional_power``, ``nested_expansion`` and ``nested_evaluate`` are
+the package's former kernels, kept verbatim: each rebuilds its result
+from scratch, level by level, so the incremental expansion, ``evaluate``
+and ``TruncatedSeries.power`` must reproduce them bit for bit.
 ``reference_fit`` is the order-by-order fit that runs two full nested
 expansions per order, kept as the reference that the incremental ``fit``
 must reproduce bit for bit.
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from continued_roots import _kernels_py as kernels
 from continued_roots.approximant import SLOPE_TOLERANCE, ContinuedRootApproximant
 from continued_roots.errors import DegenerateSeriesError, VanishingSensitivityError
 from continued_roots.series import TruncatedSeries
@@ -56,6 +59,67 @@ def power_via_exp_log(u: list[float], s: float) -> list[float]:
     return series_exp([s * c for c in series_log(u)])
 
 
+def fractional_power(u: list[float], s: float) -> list[float]:
+    """Coefficients of u**s for a series u with constant term exactly 1.
+
+    Uses the standard power recurrence: differentiate h = u**s to get
+    u h' = s u' h and match coefficients, which yields each h[m] from the
+    earlier ones in O(K^2) total.
+    """
+    n = len(u)
+    h = [0.0] * n
+    h[0] = 1.0
+    for m in range(1, n):
+        acc = 0.0
+        for j in range(1, m + 1):
+            acc += ((s + 1.0) * j - m) * u[j] * h[m - j]
+        h[m] = acc / m
+    return h
+
+
+def nested_expansion(params: list[float], s: float, order: int) -> list[float]:
+    """Taylor coefficients, through ``order``, of the nested-root form.
+
+    The form is (1 + A1 x (1 + A2 x (... (1 + Ak x)**s ...)**s)**s with the
+    same power s at every level.  Built from the innermost bracket outward;
+    ``params`` must be non-empty.
+    """
+    n = order + 1
+    u = [0.0] * n
+    u[0] = 1.0
+    if n > 1:
+        u[1] = params[-1]
+    for i in range(len(params) - 2, -1, -1):
+        p = fractional_power(u, s)
+        v = [0.0] * n
+        v[0] = 1.0
+        a = params[i]
+        for j in range(1, n):
+            v[j] = a * p[j - 1]
+        u = v
+    return fractional_power(u, s)
+
+
+def nested_evaluate(
+    params: list[float], s: float, x: float, integer_power: bool
+) -> tuple[float, int]:
+    """Evaluate the nested-root form at a point, innermost bracket outward.
+
+    Returns ``(value, 0)`` on success.  If some bracket base is negative
+    under a non-integer power, or zero under a negative power, returns
+    ``(nan, depth)`` with the 1-based depth of the offending bracket.
+    """
+    k = len(params)
+    u = 1.0 + params[k - 1] * x
+    for m in range(k, 1, -1):
+        if (u < 0.0 and not integer_power) or (u == 0.0 and s < 0.0):
+            return (float("nan"), m)
+        u = 1.0 + params[m - 2] * x * u**s
+    if (u < 0.0 and not integer_power) or (u == 0.0 and s < 0.0):
+        return (float("nan"), 1)
+    return (u**s, 0)
+
+
 def gamma(count: int) -> float:
     """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
     return count * UNIT_ROUNDOFF / (1.0 - count * UNIT_ROUNDOFF)
@@ -66,12 +130,11 @@ def expansion_majorant(
 ) -> tuple[float, int]:
     """Rounding bound ingredients for coefficient ``order`` of the nested form.
 
-    Runs the kernel's recurrence (``nested_expansion`` in ``_kernels_py``)
-    on absolute values, with the factor ``(s + 1) j - m`` majorised by
-    ``(|s| + 1) j + m``: ``s + 1`` is rounded, so the cancellation in that
-    factor cannot be relied on for small ``|s|``.  Alongside, it counts the
-    roundings N in the longest product-and-sum chain, with the operations
-    in the kernel's order (three for the factor, two products, one per
+    Runs the recurrence of ``nested_expansion`` above on absolute values,
+    with the factor ``(s + 1) j - m`` majorised by ``(|s| + 1) j + m``:
+    ``s + 1`` is rounded, so the cancellation in that factor cannot be
+    relied on for small ``|s|``.  Alongside, it counts the roundings N in the longest product-and-sum chain, with the operations
+    in that function's order (three for the factor, two products, one per
     addition after the first, one for the division).  The computed
     coefficient then lies within ``gamma(N) * M`` of the exact one, where M
     is the returned majorant.
@@ -105,7 +168,7 @@ def exact_expansion_coefficient(
 ) -> Fraction:
     """Coefficient ``order`` of the nested form in exact rational arithmetic.
 
-    Same recurrence as the kernel, but every float input is taken at its
+    Same recurrence as ``nested_expansion``, but every float input is taken at its
     exact binary value and no operation rounds.
     """
     n = order + 1
@@ -151,8 +214,8 @@ def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproxi
     slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
     params: list[float] = []
     for n in range(1, series.order + 1):
-        at_zero = kernels.nested_expansion(params + [0.0], power, n)[n]
-        at_one = kernels.nested_expansion(params + [1.0], power, n)[n]
+        at_zero = nested_expansion(params + [0.0], power, n)[n]
+        at_one = nested_expansion(params + [1.0], power, n)[n]
         slope = at_one - at_zero
         if abs(slope) < slope_floor:
             raise VanishingSensitivityError(n, slope)

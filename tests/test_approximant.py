@@ -1,6 +1,7 @@
 """Fitting, evaluation, and asymptotics of the nested-root form."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from continued_roots import (
     RealnessError,
     TruncatedSeries,
     VanishingSensitivityError,
+    backend_name,
     best_real_order,
     exponent_to_power,
     finite_order_exponent,
@@ -26,11 +28,14 @@ from continued_roots import (
     problem,
     string_coefficients,
 )
+from continued_roots import _backend
 
 from oracles import (
     exact_expansion_coefficient,
     expansion_majorant,
     gamma,
+    nested_evaluate,
+    nested_expansion,
     reference_fit,
 )
 
@@ -58,6 +63,11 @@ any_powers = st.one_of(
     st.floats(min_value=-3.0, max_value=-1.05),
 )
 deep_param_lists = st.lists(nonzero_params, min_size=1, max_size=24)
+# Parameters for comparisons with the former kernels: either sign, and
+# exactly zero, which cuts the chain.
+any_params = st.lists(
+    st.one_of(nonzero_params, st.sampled_from([0.0, -0.0])), min_size=1, max_size=24
+)
 free_coefficients = st.lists(
     st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=24
 )
@@ -387,6 +397,66 @@ class TestFitMatchesReference:
         got = fit_outcome(fit, series, s)
         assert got == fit_outcome(reference_fit, series, s)
         assert got[:3] == (VanishingSensitivityError, 3, (0.0).hex())
+
+
+class TestMatchesFormerKernels:
+    """The incremental expansion and ``evaluate`` against the verbatim
+    former kernels in ``oracles``, compared with ``float.hex``."""
+
+    @given(any_powers, any_params, st.integers(min_value=-24, max_value=8))
+    @example(-1.0, [1.0, 0.0, 2.0], 4)
+    @example(2.5, [0.5], 6)
+    def test_expand_bitwise(self, s, params, offset):
+        order = max(0, len(params) + offset)
+        got = ContinuedRootApproximant(s, tuple(params)).expand(order)
+        want = nested_expansion(params, s, order)
+        assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
+
+    @given(
+        st.one_of(any_powers, st.sampled_from([1.0, 2.0, -2.0])),
+        any_params,
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+    @example(0.5, [1.0, -5.0], 1.0)
+    @example(-1.0, [1.0, -1.0], 1.0)
+    @example(2.0, [1.0, -5.0], 1.0)
+    def test_evaluate_bitwise(self, s, params, x):
+        value, depth = nested_evaluate(params, s, x, s.is_integer())
+        approx = ContinuedRootApproximant(s, tuple(params))
+        if depth:
+            with pytest.raises(ComplexBreakdownError) as excinfo:
+                approx.evaluate(x)
+            assert excinfo.value.depth == depth
+        else:
+            assert approx.evaluate(x).hex() == value.hex()
+
+
+class TestKernelHooks:
+    def test_expand_and_evaluate_pass_through_the_kernel_names(self, monkeypatch):
+        # perfbench/tracing.py rebinds these two functions, found with
+        # vars(_backend.kernels), wherever a package module holds them, and
+        # reads the parameters and the order from positional arguments
+        calls = []
+        for attr in ("nested_expansion", "nested_evaluate"):
+            original = vars(_backend.kernels)[attr]
+
+            def wrapper(*args, _attr=attr, _original=original, **kwargs):
+                calls.append((_attr, args, kwargs))
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "continued_roots" or module is None:
+                    continue
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+        approx = ContinuedRootApproximant(0.5, (1.0, 2.0))
+        approx.expand(4)
+        assert calls == [("nested_expansion", (approx.params, 0.5, 4), {})]
+        calls.clear()
+        approx.evaluate(3.0)
+        assert calls == [("nested_evaluate", (approx.params, 0.5, 3.0), {})]
+        assert backend_name() == "python"
 
 
 class TestFitSequence:

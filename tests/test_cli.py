@@ -21,7 +21,9 @@ from continued_roots import (
     problem,
     sequence_report,
 )
+from continued_roots import corpus
 from continued_roots.cli import (
+    MAX_DEPTH,
     _render_table_csv,
     _render_table_human,
     _render_table_json,
@@ -142,8 +144,90 @@ class TestFit:
         assert "order 2" in payload["message"]
 
     def test_source_is_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fit", "--order", "2"])
+        code, out = run_cli(capsys, "fit", "--order", "2")
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert "--problem" in payload["message"]
+
+
+class TestUsageErrors:
+    # argparse reads only -N and -N.N as numbers, so -inf and -1e5 stop in
+    # the parser like any other usage error; all of them give the one JSON
+    # error object, on stdout, with exit status 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--problem", "fluid_string", "--order", "3", "--x", "-inf"],
+            ["eval", "--problem", "fluid_string", "--order", "3", "--x", "-1e5"],
+            ["diagnose", "--problem", "fluid_string", "--order", "3", "--L", "-1e3"],
+            ["fit", "--problem", "fluid_string", "--order", "two"],
+            ["table", "--problem", "fluid_string", "--kmax", "5", "--format", "xml"],
+            ["fit", "--problem", "fluid_string"],
+            [],
+        ],
+    )
+    def test_usage_error_is_a_json_object(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert strict_json(captured.out)["error"] == "invalid-input"
+        assert captured.err == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: continued-roots fit")
+
+
+@pytest.fixture
+def no_coefficients(monkeypatch):
+    """Fail the test if a problem generates any coefficient."""
+
+    def refuse(self, order):
+        raise AssertionError(f"coefficients({order}) generated")
+
+    monkeypatch.setattr(corpus.BenchmarkProblem, "coefficients", refuse)
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--problem", "fluid_string"],
+            ["eval", "--problem", "fluid_string", "--x", "1"],
+            ["diagnose", "--problem", "fluid_string"],
+            ["pade-check"],
+        ],
+    )
+    def test_order_above_cap_rejected_before_coefficients(
+        self, capsys, no_coefficients, argv
+    ):
+        code, out = run_cli(capsys, *argv, "--order", str(MAX_DEPTH + 1))
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert f"--order must be at most {MAX_DEPTH}" in payload["message"]
+
+    def test_kmax_above_cap_rejected_before_coefficients(
+        self, capsys, no_coefficients
+    ):
+        code, out = run_cli(
+            capsys, "table", "--problem", "fluid_string", "--kmax", str(MAX_DEPTH + 1)
+        )
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert f"--kmax must be at most {MAX_DEPTH}" in payload["message"]
+
+    def test_depth_at_cap_is_fitted(self, capsys):
+        # the string fit stops at depth 14, so the cap is not what fails
+        code, out = run_cli(
+            capsys, "fit", "--problem", "fluid_string", "--order", str(MAX_DEPTH)
+        )
+        assert code == 1
+        assert strict_json(out)["error"] == "vanishing-sensitivity"
 
 
 class TestProblemFileValidation:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from continued_roots import TruncatedSeries
 
-from oracles import power_via_exp_log
+from oracles import fractional_power, power_via_exp_log
 
 # Test envelope for the tight (1e-12) identities: magnitude-1 coefficients
 # and |s| <= 2 keep intermediate coefficient growth moderate at order 8.
@@ -151,6 +151,16 @@ class TestPower:
         assert all(
             abs(x - y) <= 1e-10 for x, y in zip(outer.coeffs, direct.coeffs)
         )
+
+    @given(
+        st.lists(st.floats(min_value=-3.0, max_value=3.0), max_size=30),
+        st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_power_matches_former_kernel_bitwise(self, tail, s):
+        series = TruncatedSeries((1.0, *tail))
+        assert [c.hex() for c in series.power(s).coeffs] == [
+            c.hex() for c in fractional_power(list(series.coeffs), s)
+        ]
 
     @given(unit_series, powers)
     def test_power_matches_exp_log_oracle(self, series, s):
