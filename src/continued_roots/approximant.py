@@ -12,9 +12,9 @@ of infinite nesting depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
+from ._record import Record, _set
 from .errors import (
     ComplexBreakdownError,
     DegenerateSeriesError,
@@ -62,35 +62,35 @@ def finite_order_exponent(power: float, order: int) -> float:
     return (power - power ** (order + 1)) / (1.0 - power)
 
 
-@dataclass(frozen=True)
-class ExponentTarget:
+class ExponentTarget(Record):
     """Known large-argument behaviour an extrapolation should reproduce.
 
     ``exponent`` is the true power of growth; ``amplitude`` is the true
     prefactor of x**exponent when it is known, used as the error baseline.
     """
 
-    exponent: float
-    amplitude: float | None = None
+    __slots__ = ("exponent", "amplitude")
 
-    def __post_init__(self):
-        if not self.exponent > -0.5:
-            raise ValueError(
-                f"target exponent must exceed -1/2, got {self.exponent!r}"
-            )
+    def __init__(self, exponent: float, amplitude: float | None = None):
+        if not exponent > -0.5:
+            raise ValueError(f"target exponent must exceed -1/2, got {exponent!r}")
+        _set(self, "exponent", exponent)
+        _set(self, "amplitude", amplitude)
 
     @property
     def power(self) -> float:
         return exponent_to_power(self.exponent)
 
 
-@dataclass(frozen=True)
-class AmplitudeResult:
+class AmplitudeResult(Record):
     """Large-argument power law of one approximant: amplitude * x**exponent."""
 
-    amplitude: float
-    exponent: float
-    order: int
+    __slots__ = ("amplitude", "exponent", "order")
+
+    def __init__(self, amplitude: float, exponent: float, order: int):
+        _set(self, "amplitude", amplitude)
+        _set(self, "exponent", exponent)
+        _set(self, "order", order)
 
     def estimate(self, target_exponent: float, match_point: float = 1.0) -> float:
         """This law converted to one of x**target_exponent at ``match_point``.
@@ -102,24 +102,20 @@ class AmplitudeResult:
         return self.amplitude * match_point ** (self.exponent - target_exponent)
 
 
-@dataclass(frozen=True)
-class ContinuedRootApproximant:
+class ContinuedRootApproximant(Record):
     """A fitted (or hand-built) nested-root form of fixed depth.
 
     ``params`` holds A1..Ak from the outermost bracket inward.  The form is
     real-valued on x >= 0 exactly when every parameter is non-negative.
     """
 
-    power: float
-    params: tuple[float, ...]
+    __slots__ = ("power", "params")
 
-    def __post_init__(self):
-        if len(self.params) < 1:
+    def __init__(self, power: float, params: tuple[float, ...]):
+        if len(params) < 1:
             raise ValueError("an approximant needs at least one parameter")
-        object.__setattr__(
-            self, "params", tuple(float(a) for a in self.params)
-        )
-        object.__setattr__(self, "power", float(self.power))
+        _set(self, "params", tuple(map(float, params)))
+        _set(self, "power", float(power))
 
     @property
     def order(self) -> int:

@@ -21,19 +21,23 @@ Errors, usage errors included, are reported as a JSON object
 ``{"error": kind, "message": ...}`` on stdout with a non-zero exit status.
 The exit status is zero exactly when no error object was emitted and no
 report row failed.  Depths above ``MAX_DEPTH`` are rejected before any
-coefficient is generated.
+coefficient is generated.  Negative values (``--x -1e5``, ``--L -inf``)
+parse as values and meet the command's own check, and an ``eval`` point
+whose value leaves the float range is an error that names the point.
+
+Start-up is most of a command's cost, so modules only some commands need
+are imported where they are used: ``csv`` for ``--format csv`` and
+``random`` for ``pade-check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
-import random
+import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import corpus
 from .approximant import (
@@ -53,7 +57,16 @@ MAX_DEPTH = 256
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so that ``main`` prints them as JSON errors."""
+    """Raises usage errors, so that ``main`` prints them as JSON errors.
+
+    Every negative float literal (``-1e5``, ``-inf``, ``-nan``) is read as a
+    value, not as an option, so the command's own check names the fault;
+    argparse alone reads only ``-N`` and ``-N.N`` as numbers.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")
@@ -275,6 +288,9 @@ def _command_fit(args: argparse.Namespace) -> int:
 
 
 def _render_table_csv(rows: Sequence[ReportRow]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
@@ -382,6 +398,9 @@ def _command_eval(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     approx = _fit_order(problem, args.order)
     points = [[x, approx.evaluate(x)] for x in args.x]
+    for x, value in points:
+        if not math.isfinite(value):
+            raise ValueError(f"the value at x = {x!r} leaves the float range")
     _print_json(
         {
             "problem": problem.name,
@@ -415,6 +434,8 @@ def _command_diagnose(args: argparse.Namespace) -> int:
 
 
 def _command_pade_check(args: argparse.Namespace) -> int:
+    import random
+
     if args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     _check_depth("--order", args.order)

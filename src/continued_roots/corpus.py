@@ -21,15 +21,13 @@ convention (1 for the problems quoted directly at the amplitude level).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import Record, _set
 from .errors import UnknownProblemError
 
 
-@dataclass(frozen=True)
-class BenchmarkProblem:
+class BenchmarkProblem(Record):
     """A named expansion with its extrapolation target and conventions.
 
     ``known_amplitude`` is the reference amplitude of x**target_exponent
@@ -38,14 +36,24 @@ class BenchmarkProblem:
     coefficients can be generated to any order.
     """
 
-    name: str
-    target_exponent: float
-    observable_prefactor: float
-    match_point: float
-    max_order: int | None
-    known_amplitude: float | None
-    observable_exact: float | None
-    _generator: Callable[[int], list[float]]
+    __slots__ = (
+        "name", "target_exponent", "observable_prefactor", "match_point",
+        "max_order", "known_amplitude", "observable_exact", "_generator",
+    )
+
+    def __init__(
+        self, name: str, target_exponent: float, observable_prefactor: float,
+        match_point: float, max_order: int | None, known_amplitude: float | None,
+        observable_exact: float | None, _generator: Callable[[int], list[float]],
+    ):
+        _set(self, "name", name)
+        _set(self, "target_exponent", target_exponent)
+        _set(self, "observable_prefactor", observable_prefactor)
+        _set(self, "match_point", match_point)
+        _set(self, "max_order", max_order)
+        _set(self, "known_amplitude", known_amplitude)
+        _set(self, "observable_exact", observable_exact)
+        _set(self, "_generator", _generator)
 
     def coefficients(self, order: int) -> list[float]:
         """Expansion coefficients c0..c_order.
@@ -75,6 +83,8 @@ def string_coefficients_exact(order: int) -> list[Fraction]:
     binomial series of sqrt(1 + g**2/64) shifted by the g/4 prefactor, so
     every coefficient is an exact dyadic rational.
     """
+    from fractions import Fraction
+
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     coeffs = [Fraction(0)] * (order + 1)

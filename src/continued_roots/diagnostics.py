@@ -12,9 +12,9 @@ that table for a problem from one fit at its largest depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record, _set
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
@@ -43,8 +43,7 @@ def nested_radical_exponent(power: float, depth: int) -> float:
     return (1.0 - power ** (depth - 1)) / ((1.0 - power) * power ** (depth - 1))
 
 
-@dataclass(frozen=True)
-class ConvergenceDiagnostics:
+class ConvergenceDiagnostics(Record):
     """Boundedness certificate for one approximant on [0, variable_bound].
 
     ``bound_terms[i]`` is the rescaled contribution of depth i + 2; the
@@ -54,13 +53,23 @@ class ConvergenceDiagnostics:
     covers the tail.
     """
 
-    power: float
-    variable_bound: float
-    param_bound: float
-    radical_exponents: tuple[float, ...]
-    bound_terms: tuple[float, ...]
-    bound_limit: float
-    power_valid: bool
+    __slots__ = (
+        "power", "variable_bound", "param_bound", "radical_exponents",
+        "bound_terms", "bound_limit", "power_valid",
+    )
+
+    def __init__(
+        self, power: float, variable_bound: float, param_bound: float,
+        radical_exponents: tuple[float, ...], bound_terms: tuple[float, ...],
+        bound_limit: float, power_valid: bool,
+    ):
+        _set(self, "power", power)
+        _set(self, "variable_bound", variable_bound)
+        _set(self, "param_bound", param_bound)
+        _set(self, "radical_exponents", radical_exponents)
+        _set(self, "bound_terms", bound_terms)
+        _set(self, "bound_limit", bound_limit)
+        _set(self, "power_valid", power_valid)
 
     @property
     def bounded(self) -> bool:
@@ -136,8 +145,7 @@ def herschfeld_terms(
     )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """One depth of an extrapolation table.
 
     A row that could not be computed (for example because a parameter went
@@ -145,26 +153,39 @@ class ReportRow:
     affected numeric fields; such rows are informative, not fatal.
     """
 
-    order: int
-    amplitude: float | None
-    exponent: float | None
-    observable: float | None
-    percent_error: float | None
-    error: str | None = None
+    __slots__ = (
+        "order", "amplitude", "exponent", "observable", "percent_error", "error",
+    )
+
+    def __init__(
+        self, order: int, amplitude: float | None, exponent: float | None,
+        observable: float | None, percent_error: float | None, error: str | None = None,
+    ):
+        _set(self, "order", order)
+        _set(self, "amplitude", amplitude)
+        _set(self, "exponent", exponent)
+        _set(self, "observable", observable)
+        _set(self, "percent_error", percent_error)
+        _set(self, "error", error)
 
     @property
     def failed(self) -> bool:
         return self.error is not None
 
 
-@dataclass(frozen=True)
-class ExtrapolationReport:
+class ExtrapolationReport(Record):
     """Amplitude estimates across depths, with errors against a known limit."""
 
-    rows: tuple[ReportRow, ...]
-    target: ExponentTarget
-    observable_prefactor: float
-    match_point: float
+    __slots__ = ("rows", "target", "observable_prefactor", "match_point")
+
+    def __init__(
+        self, rows: tuple[ReportRow, ...], target: ExponentTarget,
+        observable_prefactor: float, match_point: float,
+    ):
+        _set(self, "rows", rows)
+        _set(self, "target", target)
+        _set(self, "observable_prefactor", observable_prefactor)
+        _set(self, "match_point", match_point)
 
     @property
     def any_failed(self) -> bool:

@@ -7,22 +7,20 @@ simply unknown rather than zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
+
+from ._record import Record, _set
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Coefficients c0..cK of a power series truncated at order K."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[float, ...]):
+        if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(
-            self, "coeffs", tuple(float(c) for c in self.coeffs)
-        )
+        _set(self, "coeffs", tuple(map(float, coeffs)))
 
     @classmethod
     def from_coefficients(cls, coefficients: Sequence[float]) -> "TruncatedSeries":

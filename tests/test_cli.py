@@ -152,9 +152,10 @@ class TestFit:
 
 
 class TestUsageErrors:
-    # argparse reads only -N and -N.N as numbers, so -inf and -1e5 stop in
-    # the parser like any other usage error; all of them give the one JSON
-    # error object, on stdout, with exit status 1
+    # usage errors give the one JSON error object, on stdout, with exit
+    # status 1; so do negative values, which the parser reads as values
+    # (argparse alone reads only -N and -N.N as numbers) and the command's
+    # own check then rejects
     @pytest.mark.parametrize(
         "argv",
         [
@@ -173,6 +174,27 @@ class TestUsageErrors:
         assert code == 1
         assert strict_json(captured.out)["error"] == "invalid-input"
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--x", "-1e5"], "argument must be non-negative"),
+            (["eval", "--x", "1", "-2.5E-3"], "argument must be non-negative"),
+            (["eval", "--x", "-inf"], "--x must be finite"),
+            (["eval", "--x", "-nan"], "--x must be finite"),
+            (["diagnose", "--L", "-1e3"], "variable bound must be positive"),
+            (["diagnose", "--L", "-Infinity"], "variable bound must be positive"),
+        ],
+    )
+    def test_negative_values_reach_the_command_check(self, capsys, argv, message):
+        command, *values = argv
+        code, out = run_cli(
+            capsys, command, "--problem", "fluid_string", "--order", "3", *values
+        )
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"].startswith(message)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -571,6 +593,18 @@ class TestEval:
             assert payload["error"] == "invalid-input"
             assert "--x" in payload["message"]
 
+    def test_value_beyond_float_range_names_the_point(self, capsys):
+        # a finite, valid point whose inner bracket overflows to inf
+        code, out = run_cli(
+            capsys, "eval", "--problem", "fluid_string", "--order", "3",
+            "--x", "1", "1e200",
+        )
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["error"] == "invalid-input"
+        assert "x = 1e+200" in payload["message"]
+        assert "float range" in payload["message"]
+
     def test_complex_breakdown_reported(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 1.0, -10.0])
         code, out = run_cli(
@@ -738,3 +772,36 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["s"] == pytest.approx(2.0 / 3.0)
+
+
+# Standard-library modules that no command needs at start-up; the package
+# defers or avoids them because every CLI process would pay for them.
+DEFERRED_MODULES = {
+    "dataclasses", "inspect", "typing", "fractions", "decimal", "csv", "random"
+}
+
+IMPORT_PROBE = """
+import sys
+import continued_roots
+package = set(sys.modules)
+import argparse, json
+parser_and_encoder = set(sys.modules)
+import continued_roots.cli
+print(json.dumps([sorted(package), sorted(parser_and_encoder), sorted(sys.modules)]))
+"""
+
+
+class TestStartup:
+    def test_imports_leave_unneeded_modules_out(self):
+        # -S keeps site (and any .pth file it runs) from loading modules first
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        package, parser_and_encoder, cli = map(set, json.loads(proc.stdout))
+        assert package & DEFERRED_MODULES == set()
+        assert (cli - parser_and_encoder) & DEFERRED_MODULES == set()
