@@ -22,7 +22,7 @@ from .errors import (
     RealnessError,
     VanishingSensitivityError,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _Expansion
 
 # Affine slopes below this (relative to the linear coefficient) are treated
 # as exactly zero when solving for a parameter.
@@ -62,18 +62,30 @@ def finite_order_exponent(power: float, order: int) -> float:
     return (power - power ** (order + 1)) / (1.0 - power)
 
 
+def _require_positive(params: Sequence[float], subject: str) -> None:
+    """Raise RealnessError naming the first parameter that is not > 0."""
+    for n, a in enumerate(params, start=1):
+        if a <= 0.0:
+            raise RealnessError(
+                f"{subject} requires strictly positive parameters; "
+                f"parameter {n} is {a!r}"
+            )
+
+
 class ExponentTarget(Record):
     """Known large-argument behaviour an extrapolation should reproduce.
 
     ``exponent`` is the true power of growth; ``amplitude`` is the true
-    prefactor of x**exponent when it is known, used as the error baseline.
+    prefactor of x**exponent when it is known, used as the error baseline,
+    so it must be non-zero.
     """
 
     __slots__ = ("exponent", "amplitude")
 
     def __init__(self, exponent: float, amplitude: float | None = None):
-        if not exponent > -0.5:
-            raise ValueError(f"target exponent must exceed -1/2, got {exponent!r}")
+        exponent_to_power(exponent)  # raises unless exponent > -1/2
+        if amplitude == 0.0:
+            raise ValueError(f"known amplitude must be non-zero, got {amplitude!r}")
         _set(self, "exponent", exponent)
         _set(self, "amplitude", amplitude)
 
@@ -155,12 +167,7 @@ class ContinuedRootApproximant(Record):
         exponent is the finite geometric sum of powers.  All parameters must
         be strictly positive for the fractional powers to be real.
         """
-        for n, a in enumerate(self.params, start=1):
-            if a <= 0.0:
-                raise RealnessError(
-                    f"amplitude requires strictly positive parameters; "
-                    f"parameter {n} is {a!r}"
-                )
+        _require_positive(self.params, "amplitude")
         s = self.power
         b = 1.0
         for n, a in enumerate(self.params, start=1):
@@ -217,62 +224,6 @@ class ContinuedRootApproximant(Record):
                 merged[i] += c
             p, q = merged, p
         return q, p
-
-
-class _Expansion:
-    """Taylor coefficients of the nested form, built one order at a time.
-
-    Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
-    and its power H_i = U_i**s; ``us[i]`` and ``hs[i]`` hold the
-    coefficients found so far.  Order n appends index m = n - i at every
-    level, innermost first, by the recurrence of u h' = s u' h:
-    h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed
-    from 0.0 in ascending j.  ``begin`` sums the terms j < m once, so
-    ``frontier`` can be run for several values of the innermost level's new
-    bracket coefficient.  ``params`` holds A_i of every outer level.
-    """
-
-    def __init__(self, power: float, params: Sequence[float]):
-        self.s1 = power + 1.0
-        self.params = params
-        self.us: list[list[float]] = []
-        self.hs: list[list[float]] = []
-        # factors[m][j] is the factor (s + 1) j - m of the recurrence
-        self.factors: list[list[float]] = [[]]
-
-    def begin(self, new_level: bool) -> None:
-        """Start the next order, below a new innermost level if asked."""
-        n = len(self.factors)
-        self.factors.append([self.s1 * j - n for j in range(n + 1)])
-        if new_level:
-            self.us.append([1.0])
-            self.hs.append([1.0])
-        partial = self.partial = []
-        for us, hs, f in zip(self.us, self.hs, reversed(self.factors)):
-            # at level i, f is factors[n - i] and us, hs hold indices < n - i
-            acc = 0.0
-            for fj, u, h in zip(f[1:-1], us[1:], reversed(hs[1:])):
-                acc += fj * u * h
-            partial.append(acc)
-
-    def frontier(self, t: float, store: bool) -> float:
-        """Coefficient n of the whole form when the innermost level's new
-        bracket coefficient is t; ``store`` appends each level's new ones."""
-        factors, partial, params = self.factors, self.partial, self.params
-        us, hs = self.us, self.hs
-        n = len(factors) - 1
-        innermost = len(partial) - 1
-        h = 0.0
-        for i in range(innermost, -1, -1):
-            m = n - i
-            u = t if i == innermost else params[i] * h
-            # the j = m term; its H factor is h[0] = 1, so the product with
-            # it, exact, is left out
-            h = (partial[i] + factors[m][m] * u) / m
-            if store:
-                us[i].append(u)
-                hs[i].append(h)
-        return h
 
 
 def nested_expansion(params: Sequence[float], s: float, order: int) -> list[float]:

@@ -198,31 +198,16 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
             f"problem file field 'beta' must be a finite number above -1/2, "
             f"got {beta!r}"
         )
-    known_amplitude = _optional_number(data, "known_amplitude")
-    observable_exact = _optional_number(data, "observable_exact")
-    prefactor = _optional_number(data, "observable_prefactor")
-    prefactor = 1.0 if prefactor is None else prefactor
-    if not prefactor > 0.0:
-        raise ValueError(
-            f"problem file field 'observable_prefactor' must be positive, "
-            f"got {prefactor!r}"
-        )
-    match_point = _optional_number(data, "match_point")
-    match_point = 1.0 if match_point is None else match_point
-    if not match_point > 0.0:
-        raise ValueError(
-            f"problem file field 'match_point' must be positive, got {match_point!r}"
-        )
-    fixed = list(coeffs)
+    # keyword arguments are evaluated in order: this is the order of checks
     return corpus.BenchmarkProblem(
+        known_amplitude=_optional_number(data, "known_amplitude"),
+        observable_exact=_optional_number(data, "observable_exact"),
+        observable_prefactor=_optional_positive(data, "observable_prefactor"),
+        match_point=_optional_positive(data, "match_point"),
         name=name,
         target_exponent=float(beta),
-        observable_prefactor=prefactor,
-        match_point=match_point,
-        max_order=len(fixed) - 1,
-        known_amplitude=known_amplitude,
-        observable_exact=observable_exact,
-        _generator=lambda order: fixed[: order + 1],
+        max_order=len(coeffs) - 1,
+        _generator=corpus._fixed(coeffs),
     )
 
 
@@ -233,6 +218,17 @@ def _optional_number(data: dict, field: str) -> float | None:
     if not _is_number(value):
         raise ValueError(f"problem file field {field!r} must be a finite number")
     return float(value)
+
+
+def _optional_positive(data: dict, field: str) -> float:
+    """An optional positive field, 1 when absent or null."""
+    value = _optional_number(data, field)
+    value = 1.0 if value is None else value
+    if not value > 0.0:
+        raise ValueError(
+            f"problem file field {field!r} must be positive, got {value!r}"
+        )
+    return value
 
 
 def _is_number(value: object) -> bool:
@@ -256,16 +252,26 @@ def _check_depth(option: str, value: int) -> None:
         raise ValueError(f"{option} must be at most {MAX_DEPTH}, got {value}")
 
 
-def _fit_order(problem: corpus.BenchmarkProblem, order: int) -> ContinuedRootApproximant:
+def _check_order(order: int) -> None:
+    """--order is 1..MAX_DEPTH; depth_table checks --kmax's lower bound."""
     if order < 1:
         raise ValueError(f"--order must be at least 1, got {order}")
     _check_depth("--order", order)
+
+
+def _fit_order(problem: corpus.BenchmarkProblem, order: int) -> ContinuedRootApproximant:
+    _check_order(order)
     series = TruncatedSeries(tuple(problem.coefficients(order)))
     return fit(series, exponent_to_power(problem.target_exponent))
 
 
+def _json(payload: dict) -> str:
+    """Indented JSON text; a non-finite number, which JSON lacks, raises."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    sys.stdout.write(_json(payload))
 
 
 def _command_fit(args: argparse.Namespace) -> int:
@@ -295,20 +301,18 @@ def _render_table_csv(rows: Sequence[ReportRow]) -> str:
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow(
-            [
-                row.order,
-                _cell(row.amplitude),
-                _cell(row.exponent),
-                _cell(row.observable),
-                _cell(row.percent_error),
-            ]
-        )
+        writer.writerow([_cell(value) for value in _row_values(row)])
     return buffer.getvalue()
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _row_values(row: ReportRow) -> tuple:
+    """A row's values in the order of ``CSV_HEADER``: every rendering's columns."""
+    return (row.order, row.amplitude, row.exponent, row.observable, row.percent_error)
+
+
+def _cell(value: float | None, spec: str = "") -> str:
+    """A value as text, blank for None; the empty spec gives its repr."""
+    return "" if value is None else format(value, spec)
 
 
 def _render_table_json(
@@ -324,17 +328,13 @@ def _render_table_json(
         "observable_exact": problem.observable_exact,
         "rows": [
             {
-                "k": row.order,
-                "B_k": row.amplitude,
-                "beta_k": row.exponent,
-                "observable": row.observable,
-                "percent_error": row.percent_error,
+                **dict(zip(CSV_HEADER, _row_values(row))),
                 **({"error": row.error} if row.failed else {}),
             }
             for row in rows
         ],
     }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return _json(payload)
 
 
 def _render_table_human(
@@ -346,16 +346,11 @@ def _render_table_human(
         f"target exponent = {problem.target_exponent:.6f}, "
         f"prefactor = {problem.observable_prefactor:.6f}, "
         f"match point = {problem.match_point:.6f}",
-        f"{'k':>4} {'B_k':>14} {'beta_k':>14} {'observable':>14} {'percent_error':>14}",
+        _human_line(*CSV_HEADER),
     ]
     for row in rows:
-        cells = [
-            _human_cell(row.amplitude),
-            _human_cell(row.exponent),
-            _human_cell(row.observable),
-            _human_cell(row.percent_error),
-        ]
-        line = f"{row.order:>4} " + " ".join(f"{c:>14}" for c in cells)
+        order, *values = _row_values(row)
+        line = _human_line(order, *(_cell(value, ".6f") for value in values))
         if row.failed:
             line += f"  FAILED: {row.error}"
         lines.append(line)
@@ -369,8 +364,8 @@ def _render_table_human(
     return "\n".join(lines) + "\n"
 
 
-def _human_cell(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
+def _human_line(order: object, *cells: str) -> str:
+    return f"{order:>4} " + " ".join(f"{cell:>14}" for cell in cells)
 
 
 def _command_table(args: argparse.Namespace) -> int:
@@ -420,13 +415,7 @@ def _command_diagnose(args: argparse.Namespace) -> int:
         {
             "problem": problem.name,
             "order": approx.order,
-            "power": diag.power,
-            "variable_bound": diag.variable_bound,
-            "param_bound": diag.param_bound,
-            "radical_exponents": list(diag.radical_exponents),
-            "bound_terms": list(diag.bound_terms),
-            "bound_limit": diag.bound_limit,
-            "power_valid": diag.power_valid,
+            **dict(zip(diag.__slots__, diag._values())),
             "bounded": diag.bounded,
         }
     )
@@ -436,9 +425,7 @@ def _command_diagnose(args: argparse.Namespace) -> int:
 def _command_pade_check(args: argparse.Namespace) -> int:
     import random
 
-    if args.order < 1:
-        raise ValueError(f"--order must be at least 1, got {args.order}")
-    _check_depth("--order", args.order)
+    _check_order(args.order)
     rng = random.Random(args.seed)
     params = tuple(rng.uniform(0.1, 2.0) for _ in range(args.order))
     approx = ContinuedRootApproximant(-1.0, params)

@@ -18,12 +18,13 @@ from ._record import Record, _set
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
+    _require_positive,
     exponent_to_power,
     finite_order_exponent,
     fit_parameters,
 )
 from .corpus import BenchmarkProblem
-from .errors import ContinuedRootError, RealnessError
+from .errors import ContinuedRootError
 from .series import TruncatedSeries
 
 
@@ -32,7 +33,8 @@ def nested_radical_exponent(power: float, depth: int) -> float:
 
     For depth n this is (1 - s**(n-1)) / ((1 - s) * s**(n-1)); the products
     gamma_n * s**n that enter the boundedness terms then telescope to
-    (s - s**n) / (1 - s).
+    (s - s**n) / (1 - s).  Raises ValueError, naming the depth and the
+    power, when s**(n-1) leaves the float range and the result is not finite.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -40,7 +42,16 @@ def nested_radical_exponent(power: float, depth: int) -> float:
         raise ValueError(
             f"radical exponents are undefined for power {power!r}"
         )
-    return (1.0 - power ** (depth - 1)) / ((1.0 - power) * power ** (depth - 1))
+    try:
+        scale = power ** (depth - 1)
+        exponent = (1.0 - scale) / ((1.0 - power) * scale)
+        if math.isfinite(exponent):
+            return exponent
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(
+        f"the radical exponent at depth {depth} for power {power!r} is not finite"
+    )
 
 
 class ConvergenceDiagnostics(Record):
@@ -96,7 +107,7 @@ def herschfeld_terms(
     n is (L*M)**(gamma_n * s**n), n = 2..k.  All parameters must be
     strictly positive and |s| must be below 1 for the criterion to apply.
     A ValueError naming L*M is raised when L*M or a term leaves the float
-    range.
+    range, and one naming the depth when a radical exponent does.
     """
     s = approximant.power
     if not abs(s) < 1.0:
@@ -109,12 +120,7 @@ def herschfeld_terms(
         raise ValueError(
             f"variable bound must be positive, got {variable_bound!r}"
         )
-    for n, a in enumerate(approximant.params, start=1):
-        if a <= 0.0:
-            raise RealnessError(
-                f"the certificate requires strictly positive parameters; "
-                f"parameter {n} is {a!r}"
-            )
+    _require_positive(approximant.params, "the certificate")
     m = max(approximant.params)
     lm = variable_bound * m
     exponents = tuple(

@@ -130,6 +130,7 @@ class TestExponentAlgebra:
         )
         assert finite_order_exponent(-1.0, 2) == 0.0
         assert finite_order_exponent(-1.0, 3) == -1.0
+        assert finite_order_exponent(1.0, 3) == 3.0
 
     def test_finite_order_approaches_target(self):
         s = exponent_to_power(2.0)
@@ -163,6 +164,12 @@ class TestExponentTarget:
     def test_exponent_domain(self):
         with pytest.raises(ValueError, match="-1/2"):
             ExponentTarget(-0.5)
+
+    @pytest.mark.parametrize("amplitude", [0, 0.0, -0.0])
+    def test_zero_amplitude_rejected(self, amplitude):
+        # it is the baseline of the percent error
+        with pytest.raises(ValueError, match="known amplitude must be non-zero"):
+            ExponentTarget(1.0, amplitude)
 
 
 class TestConstruction:
@@ -420,9 +427,16 @@ class TestMatchesFormerKernels:
     @example(0.5, [1.0, -5.0], 1.0)
     @example(-1.0, [1.0, -1.0], 1.0)
     @example(2.0, [1.0, -5.0], 1.0)
+    @example(3.0, [1.0] * 5, 7.0)
     def test_evaluate_bitwise(self, s, params, x):
-        value, depth = nested_evaluate(params, s, x, s.is_integer())
         approx = ContinuedRootApproximant(s, tuple(params))
+        try:
+            value, depth = nested_evaluate(params, s, x, s.is_integer())
+        except OverflowError:
+            # float ** raises past the float range, in both at the same power
+            with pytest.raises(OverflowError):
+                approx.evaluate(x)
+            return
         if depth:
             with pytest.raises(ComplexBreakdownError) as excinfo:
                 approx.evaluate(x)
@@ -473,6 +487,14 @@ class TestFitSequence:
             fit_sequence(series, 0.4, [1, 2])
         with pytest.raises(ValueError, match="exceeds"):
             fit_sequence(TruncatedSeries((1.0, 1.0, -0.125)), 0.4, [2, 5, 1])
+
+    def test_depth_below_one_rejected(self):
+        series = TruncatedSeries((1.0, 1.0, -0.125))
+        with pytest.raises(ValueError, match="depth must be at least 1, got 0"):
+            fit_sequence(series, 0.4, [2, 0])
+
+    def test_no_orders_no_fits(self):
+        assert fit_sequence(TruncatedSeries((1.0, 1.0)), 0.4, []) == []
 
     def test_unsorted_orders_are_bitwise_prefixes(self):
         series = TruncatedSeries(tuple(string_coefficients(13)))

@@ -213,16 +213,16 @@ def no_coefficients(monkeypatch):
     monkeypatch.setattr(corpus.BenchmarkProblem, "coefficients", refuse)
 
 
+ORDER_COMMANDS = [
+    ["fit", "--problem", "fluid_string"],
+    ["eval", "--problem", "fluid_string", "--x", "1"],
+    ["diagnose", "--problem", "fluid_string"],
+    ["pade-check"],
+]
+
+
 class TestDepthCap:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fit", "--problem", "fluid_string"],
-            ["eval", "--problem", "fluid_string", "--x", "1"],
-            ["diagnose", "--problem", "fluid_string"],
-            ["pade-check"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", ORDER_COMMANDS)
     def test_order_above_cap_rejected_before_coefficients(
         self, capsys, no_coefficients, argv
     ):
@@ -231,6 +231,18 @@ class TestDepthCap:
         payload = strict_json(out)
         assert payload["error"] == "invalid-input"
         assert f"--order must be at most {MAX_DEPTH}" in payload["message"]
+
+    @pytest.mark.parametrize("argv", ORDER_COMMANDS)
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_rejected_before_coefficients(
+        self, capsys, no_coefficients, argv, order
+    ):
+        code, out = run_cli(capsys, *argv, "--order", str(order))
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": f"--order must be at least 1, got {order}",
+        }
 
     def test_kmax_above_cap_rejected_before_coefficients(
         self, capsys, no_coefficients
@@ -321,6 +333,48 @@ class TestProblemFileValidation:
         overrides = {"coefficients": [1.0, 0.5, 0.1], field: value}
         self.assert_rejected(capsys, write_problem(tmp_path, **overrides), field)
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("name", "", "must be a non-empty string"),
+            ("observable_prefactor", 0, "must be positive, got 0.0"),
+            ("observable_prefactor", -2.5, "must be positive, got -2.5"),
+            ("match_point", 0.0, "must be positive, got 0.0"),
+            ("match_point", -1, "must be positive, got -1.0"),
+            ("known_amplitude", "big", "must be a finite number"),
+            ("observable_exact", [1.0], "must be a finite number"),
+        ],
+    )
+    def test_invalid_field_value_rejected(self, capsys, tmp_path, field, value, rule):
+        path = write_problem(tmp_path, **{field: value})
+        code, out = run_cli(capsys, "fit", "--file", path, "--order", "1")
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": f"problem file field {field!r} {rule}",
+        }
+
+    def test_optional_positive_fields_default_to_one(self, capsys, tmp_path):
+        path = write_problem(
+            tmp_path, coefficients=[1.0, 0.5, 0.1], observable_prefactor=None
+        )
+        code, out = run_cli(
+            capsys, "table", "--file", path, "--kmax", "2", "--format", "json"
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["observable_prefactor"] == payload["match_point"] == 1.0
+
+    def test_non_object_rejected(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out = run_cli(capsys, "fit", "--file", str(path), "--order", "1")
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": "problem file must contain a JSON object",
+        }
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -373,6 +427,91 @@ class TestTable:
         )
         assert code == 1
         assert out == want
+
+    def test_human_and_csv_bytes_are_pinned(self, capsys):
+        # ok rows 2..13, then failed rows 14 and 15; the CSV module ends
+        # lines with CRLF
+        failure = (
+            "coefficient of x^14 is insensitive to parameter 14 "
+            "(affine slope 3.768e-15); cannot solve for it"
+        )
+        blank = " " * 60  # four empty 14-wide cells and their separators
+        human = [
+            "problem: fluid_string",
+            "power s = 0.666667, target exponent = 2.000000, "
+            "prefactor = 1.233701, match point = 9.869604",
+            "   k            B_k         beta_k     observable  percent_error",
+            "   2       0.295919       1.111111       0.047705     -38.131289",
+            "   3       0.193153       1.407407       0.061362     -20.419376",
+            "   4       0.141381       1.604938       0.070598      -8.440986",
+            "   5       0.112814       1.736626       0.076155      -1.233750",
+            "   6       0.095837       1.824417       0.079097       2.581445",
+            "   7       0.085132       1.882945       0.080336       4.189206",
+            "   8       0.078047       1.921963       0.080533       4.444603",
+            "   9       0.073177       1.947975       0.080141       3.935858",
+            "  10       0.069801       1.965317       0.079540       3.156606",
+            "  11       0.067686       1.976878       0.079199       2.713934",
+            "  12       0.066438       1.984585       0.079123       2.615381",
+            "  13       0.065030       1.989724       0.078363       1.629280",
+            f"  14{blank}  FAILED: {failure}",
+            f"  15{blank}  FAILED: {failure}",
+            "known amplitude = 0.062500 (observable 0.077106)",
+            "published observable = 0.077106",
+        ]
+        csv_lines = [
+            "k,B_k,beta_k,observable,percent_error",
+            "2,0.2959191570631201,1.1111111111111112,0.04770466426219485,"
+            "-38.13128898168432",
+            "3,0.19315324994166902,1.4074074074074072,0.06136166203064043,"
+            "-20.419376291768522",
+            "4,0.14138095166980486,1.604938271604938,0.07059775375777982,"
+            "-8.440985942674539",
+            "5,0.11281367965709177,1.7366255144032918,0.07615498542032938,"
+            "-1.233750232924824",
+            "6,0.09583650170717721,1.8244170096021946,0.07909674070815152,"
+            "2.5814450022527247",
+            "7,0.08513160621241825,1.8829446730681296,0.08033642547111705,"
+            "4.189205994598821",
+            "8,0.07804733410263932,1.921963115378753,0.08053335223283613,"
+            "4.444602507728157",
+            "9,0.07317680768588784,1.947975410252502,0.08014107831637332,"
+            "3.935858091369404",
+            "10,0.06980112479196754,1.9653169401683346,0.0795402262225803,"
+            "3.1566063110546994",
+            "11,0.06768611983039334,1.9768779601122228,0.07919889796119878,"
+            "2.7139338828466197",
+            "12,0.06643842136403501,1.9845853067414818,0.0791229074550363,"
+            "2.6153809480631063",
+            "13,0.06503044839898973,1.9897235378276545,0.07836256142061135,"
+            "1.6292796976862256",
+            "14,,,,",
+            "15,,,,",
+        ]
+        argv = ["table", "--problem", "fluid_string", "--kmax", "15", "--format"]
+        assert run_cli(capsys, *argv, "table") == (1, "\n".join(human) + "\n")
+        assert run_cli(capsys, *argv, "csv") == (1, "\r\n".join(csv_lines) + "\r\n")
+        code, out = run_cli(capsys, *argv, "json")
+        rows = strict_json(out)["rows"]
+        assert code == 1
+        assert list(rows[0]) == ["k", "B_k", "beta_k", "observable", "percent_error"]
+        assert list(rows[-1]) == [
+            "k", "B_k", "beta_k", "observable", "percent_error", "error",
+        ]
+        assert rows[-1]["error"] == failure
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_zero_known_amplitude_is_a_typed_error(self, capsys, tmp_path, fmt):
+        path = write_problem(
+            tmp_path, coefficients=[1.0, 0.5, 0.1], known_amplitude=0
+        )
+        code, out = run_cli(
+            capsys, "table", "--file", path, "--kmax", "2", "--format", fmt
+        )
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": "known amplitude must be non-zero, got 0.0",
+        }
 
     def test_error_cells_empty_without_baseline(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 0.5, 0.1])

@@ -51,6 +51,24 @@ class TestRadicalExponents:
         telescoped = (s - s**n) / (1.0 - s)
         assert product == pytest.approx(telescoped, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [0.05, -0.05, 0.5, -0.9, 1.5, -3.0])
+    def test_finite_results_keep_the_closed_form_bits(self, s):
+        for n in range(1, 300):
+            try:
+                want = (1.0 - s ** (n - 1)) / ((1.0 - s) * s ** (n - 1))
+            except (OverflowError, ZeroDivisionError):
+                break
+            if not math.isfinite(want):
+                break
+            assert nested_radical_exponent(s, n).hex() == want.hex()
+
+    @pytest.mark.parametrize("depth", [240, 260])
+    def test_exponent_beyond_float_range_rejected(self, depth):
+        # s**(depth - 1) is subnormal at 240, so the quotient is inf, and 0
+        # at 260, so it divides by zero
+        with pytest.raises(ValueError, match=f"depth {depth} for power 0.05"):
+            nested_radical_exponent(0.05, depth)
+
     def test_domain(self):
         with pytest.raises(ValueError, match="depth"):
             nested_radical_exponent(0.5, 0)
@@ -137,6 +155,23 @@ class TestHerschfeldTerms:
         diag = herschfeld_terms(ContinuedRootApproximant(0.5, (1.0,)), 2.0)
         assert diag.bound_terms == ()
         assert diag.bounded
+
+    @pytest.mark.parametrize("depth", [240, 260])
+    def test_radical_exponent_beyond_float_range_rejected(self, depth):
+        # all terms are near (L*M)**(s/(1-s)) = 1.27, but the exponents past
+        # depth 237 are not finite floats; the certificate used to read
+        # unbounded, or divide by zero
+        approx = ContinuedRootApproximant(0.05, (1.0,) * depth)
+        with pytest.raises(ValueError, match="depth 238 for power 0.05"):
+            herschfeld_terms(approx, 100.0)
+        assert herschfeld_terms(
+            ContinuedRootApproximant(0.05, (1.0,) * 237), 100.0
+        ).bounded
+
+    def test_zero_power_rejected(self):
+        # at depth 1 there is no radical exponent to reject the power
+        with pytest.raises(ValueError, match="undefined for power 0"):
+            herschfeld_terms(ContinuedRootApproximant(0.0, (1.0,)), 2.0)
 
     def test_non_contracting_power_rejected(self):
         with pytest.raises(ValueError, match="1"):

@@ -73,6 +73,10 @@ class TestProduct:
         with pytest.raises(ValueError, match="different orders"):
             TruncatedSeries((1.0, 1.0)) * TruncatedSeries((1.0, 1.0, 1.0))
 
+    def test_only_series_multiply(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries((1.0, 1.0)) * 2
+
     @given(st.data())
     def test_commutative(self, data):
         order = data.draw(st.integers(min_value=0, max_value=8))
