@@ -1,10 +1,13 @@
 """Immutable value records, the base of the package's result types.
 
-A record names its fields in ``__slots__`` and sets each one once, in its
-own ``__init__``, with ``_set``; assigning or deleting a field afterwards
-raises AttributeError.  Records compare and hash by class and field values,
-print every field, and pickle through their constructor, as frozen
-dataclasses do, but without importing ``dataclasses`` at start-up.
+A record names its fields in ``__slots__``; assigning or deleting a field
+afterwards raises AttributeError.  A record that only stores its fields
+gets an ``__init__`` compiled from ``__slots__``, with the defaults in the
+private class attribute ``_defaults``, so it runs the same code as a
+hand-written one; a record that validates or coerces writes its own and
+sets each field once with ``_set``.  Records compare and hash by class and
+field values, print every field, and pickle through their constructor, as
+frozen dataclasses do, but without importing ``dataclasses`` at start-up.
 """
 
 _set = object.__setattr__
@@ -12,6 +15,23 @@ _set = object.__setattr__
 
 class Record:
     __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            return
+        names = cls.__slots__
+        params = ", ".join(
+            f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
+            for name in names
+        )
+        body = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+        namespace = {"_set": _set, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -99,18 +99,11 @@ class AmplitudeResult(Record):
 
     __slots__ = ("amplitude", "exponent", "order")
 
-    def __init__(self, amplitude: float, exponent: float, order: int):
-        _set(self, "amplitude", amplitude)
-        _set(self, "exponent", exponent)
-        _set(self, "order", order)
-
     def estimate(self, target_exponent: float, match_point: float = 1.0) -> float:
         """This law converted to one of x**target_exponent at ``match_point``.
 
         B_k * match_point**(beta_k - target); B_k itself at match point 1.
         """
-        if match_point == 1.0:
-            return self.amplitude
         return self.amplitude * match_point ** (self.exponent - target_exponent)
 
 
@@ -154,11 +147,15 @@ class ContinuedRootApproximant(Record):
 
         Raises ComplexBreakdownError, naming the offending depth, if a
         negative parameter drives some bracket base negative under a
-        non-integer power.
+        non-integer power, and ValueError, naming x, if a bracket's power
+        leaves the float range (possible only for |s| > 1).
         """
         if x < 0.0:
             raise ValueError(f"argument must be non-negative, got {x!r}")
-        return nested_evaluate(self.params, self.power, float(x))
+        try:
+            return nested_evaluate(self.params, self.power, float(x))
+        except OverflowError:
+            raise ValueError(f"the value at x = {x!r} leaves the float range") from None
 
     def amplitude(self) -> AmplitudeResult:
         """Large-argument power law of this form.

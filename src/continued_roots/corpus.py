@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import UnknownProblemError
 
 
@@ -40,20 +40,6 @@ class BenchmarkProblem(Record):
         "name", "target_exponent", "observable_prefactor", "match_point",
         "max_order", "known_amplitude", "observable_exact", "_generator",
     )
-
-    def __init__(
-        self, name: str, target_exponent: float, observable_prefactor: float,
-        match_point: float, max_order: int | None, known_amplitude: float | None,
-        observable_exact: float | None, _generator: Callable[[int], list[float]],
-    ):
-        _set(self, "name", name)
-        _set(self, "target_exponent", target_exponent)
-        _set(self, "observable_prefactor", observable_prefactor)
-        _set(self, "match_point", match_point)
-        _set(self, "max_order", max_order)
-        _set(self, "known_amplitude", known_amplitude)
-        _set(self, "observable_exact", observable_exact)
-        _set(self, "_generator", _generator)
 
     def coefficients(self, order: int) -> list[float]:
         """Expansion coefficients c0..c_order.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
@@ -33,8 +33,10 @@ def nested_radical_exponent(power: float, depth: int) -> float:
 
     For depth n this is (1 - s**(n-1)) / ((1 - s) * s**(n-1)); the products
     gamma_n * s**n that enter the boundedness terms then telescope to
-    (s - s**n) / (1 - s).  Raises ValueError, naming the depth and the
-    power, when s**(n-1) leaves the float range and the result is not finite.
+    (s - s**n) / (1 - s).  For |s| > 1, where that denominator can overflow,
+    the equal form ((1/s)**(n-1) - 1) / (1 - s) is used instead.  Raises
+    ValueError, naming the depth and the power, when s**(n-1) underflows
+    and the result is not finite.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -44,10 +46,16 @@ def nested_radical_exponent(power: float, depth: int) -> float:
         )
     try:
         scale = power ** (depth - 1)
-        exponent = (1.0 - scale) / ((1.0 - power) * scale)
+        denominator = (1.0 - power) * scale
+        if math.isinf(denominator):
+            raise OverflowError  # the product overflows before s**(n-1) does
+        exponent = (1.0 - scale) / denominator
         if math.isfinite(exponent):
             return exponent
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
+        # only for |s| > 1, where (1/s)**(n-1) underflows harmlessly instead
+        return ((1.0 / power) ** (depth - 1) - 1.0) / (1.0 - power)
+    except ZeroDivisionError:
         pass
     raise ValueError(
         f"the radical exponent at depth {depth} for power {power!r} is not finite"
@@ -68,19 +76,6 @@ class ConvergenceDiagnostics(Record):
         "power", "variable_bound", "param_bound", "radical_exponents",
         "bound_terms", "bound_limit", "power_valid",
     )
-
-    def __init__(
-        self, power: float, variable_bound: float, param_bound: float,
-        radical_exponents: tuple[float, ...], bound_terms: tuple[float, ...],
-        bound_limit: float, power_valid: bool,
-    ):
-        _set(self, "power", power)
-        _set(self, "variable_bound", variable_bound)
-        _set(self, "param_bound", param_bound)
-        _set(self, "radical_exponents", radical_exponents)
-        _set(self, "bound_terms", bound_terms)
-        _set(self, "bound_limit", bound_limit)
-        _set(self, "power_valid", power_valid)
 
     @property
     def bounded(self) -> bool:
@@ -126,20 +121,19 @@ def herschfeld_terms(
     exponents = tuple(
         nested_radical_exponent(s, n) for n in range(2, approximant.order + 1)
     )
-    out_of_range = ValueError(
-        f"the boundedness terms leave the float range for "
-        f"L*max(A) = {variable_bound!r} * {m!r}"
-    )
-    if lm == math.inf:
-        raise out_of_range
     try:
+        if lm == math.inf:
+            raise OverflowError  # L*M itself overflowed
         terms = tuple(
             lm ** (g * s**n)
             for g, n in zip(exponents, range(2, approximant.order + 1))
         )
         limit = lm ** (s / (1.0 - s))
     except (OverflowError, ZeroDivisionError):
-        raise out_of_range from None
+        raise ValueError(
+            f"the boundedness terms leave the float range for "
+            f"L*max(A) = {variable_bound!r} * {m!r}"
+        ) from None
     return ConvergenceDiagnostics(
         power=s,
         variable_bound=variable_bound,
@@ -162,17 +156,7 @@ class ReportRow(Record):
     __slots__ = (
         "order", "amplitude", "exponent", "observable", "percent_error", "error",
     )
-
-    def __init__(
-        self, order: int, amplitude: float | None, exponent: float | None,
-        observable: float | None, percent_error: float | None, error: str | None = None,
-    ):
-        _set(self, "order", order)
-        _set(self, "amplitude", amplitude)
-        _set(self, "exponent", exponent)
-        _set(self, "observable", observable)
-        _set(self, "percent_error", percent_error)
-        _set(self, "error", error)
+    _defaults = {"error": None}
 
     @property
     def failed(self) -> bool:
@@ -183,15 +167,6 @@ class ExtrapolationReport(Record):
     """Amplitude estimates across depths, with errors against a known limit."""
 
     __slots__ = ("rows", "target", "observable_prefactor", "match_point")
-
-    def __init__(
-        self, rows: tuple[ReportRow, ...], target: ExponentTarget,
-        observable_prefactor: float, match_point: float,
-    ):
-        _set(self, "rows", rows)
-        _set(self, "target", target)
-        _set(self, "observable_prefactor", observable_prefactor)
-        _set(self, "match_point", match_point)
 
     @property
     def any_failed(self) -> bool:

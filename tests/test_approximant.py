@@ -1,6 +1,8 @@
 """Fitting, evaluation, and asymptotics of the nested-root form."""
 
 import math
+import re
+import struct
 import sys
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from continued_roots import (
+    AmplitudeResult,
     ComplexBreakdownError,
     ContinuedRootApproximant,
     ContinuedRootError,
@@ -433,8 +436,9 @@ class TestMatchesFormerKernels:
         try:
             value, depth = nested_evaluate(params, s, x, s.is_integer())
         except OverflowError:
-            # float ** raises past the float range, in both at the same power
-            with pytest.raises(OverflowError):
+            # float ** raises past the float range; evaluate names the point
+            message = f"the value at x = {x!r} leaves the float range"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 approx.evaluate(x)
             return
         if depth:
@@ -641,6 +645,19 @@ class TestAmplitudeEstimate:
         assert estimate * point**target == pytest.approx(
             approx.asymptote(point), rel=1e-13
         )
+
+    @pytest.mark.parametrize(
+        "amplitude", [1.25, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    )
+    @pytest.mark.parametrize(
+        "exponent", [0.75, math.nan, math.inf, -math.inf, 1e308, -1e308]
+    )
+    def test_match_point_one_returns_the_amplitude_bits(self, amplitude, exponent):
+        # 1.0 ** y is exactly 1.0 for every y, so match point 1 needs no branch
+        result = AmplitudeResult(amplitude, exponent, 3)
+        for target in (2.0, -1e308):
+            got = result.estimate(target, 1.0)
+            assert struct.pack("<d", got) == struct.pack("<d", amplitude)
 
     def test_match_point_domain(self):
         approx = ContinuedRootApproximant(0.4, (2.5,))

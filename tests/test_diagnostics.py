@@ -62,6 +62,16 @@ class TestRadicalExponents:
                 break
             assert nested_radical_exponent(s, n).hex() == want.hex()
 
+    @pytest.mark.parametrize("s, n", [(-3.0, 646), (3.0, 647), (3.0, 700)])
+    def test_overflowing_closed_form_matches_mpmath(self, s, n):
+        # (1 - s) * s**(n-1) overflows at 646 and 647, and s**(n-1) at 700
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            scale = mpmath.mpf(s) ** (n - 1)
+            want = float((1 - scale) / ((1 - mpmath.mpf(s)) * scale))
+        assert want in (-0.25, 0.5)
+        assert nested_radical_exponent(s, n) == want
+
     @pytest.mark.parametrize("depth", [240, 260])
     def test_exponent_beyond_float_range_rejected(self, depth):
         # s**(depth - 1) is subnormal at 240, so the quotient is inf, and 0

@@ -1,6 +1,7 @@
 """The result types as immutable value records: one contract for all eight."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -102,6 +103,47 @@ def test_repr_names_every_field(record):
 
 def test_constructor_lives_in_the_class_itself(record):
     assert "__init__" in vars(type(record))
+
+
+def test_keyword_construction_equals_positional(record):
+    cls = type(record)
+    by_name = cls(**dict(zip(cls.__slots__, _fields(record))))
+    assert by_name == cls(*_fields(record)) == record
+
+
+def test_signature_names_the_fields_in_slot_order(record):
+    cls = type(record)
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+
+
+def test_only_error_and_known_amplitude_have_defaults(record):
+    cls = type(record)
+    defaults = {
+        name: param.default
+        for name, param in inspect.signature(cls).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+    expected = {ReportRow: {"error": None}, ExponentTarget: {"amplitude": None}}
+    assert defaults == expected.get(cls, {})
+
+
+def test_constructor_is_named_after_its_class(record):
+    # TypeError text differs between Python versions; it is built from these
+    cls = type(record)
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+def test_missing_field_raises_type_error(record):
+    cls = type(record)
+    params = inspect.signature(cls).parameters
+    for name in cls.__slots__:
+        if params[name].default is not inspect.Parameter.empty:
+            continue
+        fields = dict(zip(cls.__slots__, _fields(record)))
+        del fields[name]
+        with pytest.raises(TypeError, match=repr(name)):
+            cls(**fields)
 
 
 @pytest.mark.parametrize(
