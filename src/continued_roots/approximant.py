@@ -12,6 +12,7 @@ of infinite nesting depth.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from ._record import Record, _set
@@ -65,7 +66,7 @@ def finite_order_exponent(power: float, order: int) -> float:
 def _require_positive(params: Sequence[float], subject: str) -> None:
     """Raise RealnessError naming the first parameter that is not > 0."""
     for n, a in enumerate(params, start=1):
-        if a <= 0.0:
+        if not a > 0.0:
             raise RealnessError(
                 f"{subject} requires strictly positive parameters; "
                 f"parameter {n} is {a!r}"
@@ -228,12 +229,11 @@ def nested_expansion(params: Sequence[float], s: float, order: int) -> list[floa
 
     Past the depth no level is added and the innermost bracket contributes 0.
     """
-    expansion = _Expansion(s, params)
+    expansion = _Expansion(s, params[:-1])
     coeffs = [1.0]
     for n in range(1, order + 1):
-        deeper = n <= len(params)
-        expansion.begin(deeper)
-        coeffs.append(expansion.frontier(params[n - 1] if deeper else 0.0, True))
+        expansion.begin()
+        coeffs.append(expansion.frontier(params[n - 1] if n <= len(params) else 0.0))
     return coeffs
 
 
@@ -260,9 +260,11 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     The n-th value is the one ``fit`` returns at any depth >= n, so a
     caller can stop early or keep the prefix fitted before a failure; the
     error for order n is raised when the n-th value is requested.  Arguments
-    and errors are those of ``fit``.  Order n adds level A_n to the shared
-    expansion, runs its frontier at the trials A_n = 0 and 1, and stores it
-    at the solved A_n.
+    and errors are those of ``fit``.  Order n adds level A_n to the
+    expansion that ``expand`` runs, reads the form's coefficient n at A_n = 0
+    and 1 in one pass, and stores the level at the solved A_n.  Only each
+    level's new coefficient depends on A_n, so both passes share the sums
+    that do not: order n costs about n**2 / 2 multiply-adds, the fit O(K**3).
     """
     coeffs = series.coeffs
     if coeffs[0] != 1.0:
@@ -273,6 +275,11 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
         raise ValueError("fit needs at least the linear coefficient")
     if power == 0.0:
         raise ValueError("nesting power must be non-zero")
+    if not math.isfinite(power):
+        raise ValueError(f"nesting power must be finite, got {power!r}")
+    for n, c in enumerate(coeffs):
+        if not math.isfinite(c):
+            raise ValueError(f"fit requires finite coefficients; c{n} is {c!r}")
     if coeffs[1] == 0.0:
         raise DegenerateSeriesError(
             "linear coefficient is zero; the parameter chain has no anchor"
@@ -281,13 +288,13 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     params: list[float] = []
     expansion = _Expansion(power, params)
     for n in range(1, series.order + 1):
-        expansion.begin(True)
-        at_zero = expansion.frontier(0.0, False)
-        slope = expansion.frontier(1.0, False) - at_zero
+        expansion.begin()
+        at_zero, at_one = expansion.trials()
+        slope = at_one - at_zero
         if abs(slope) < slope_floor:
             raise VanishingSensitivityError(n, slope)
         a = (coeffs[n] - at_zero) / slope
-        expansion.frontier(a, True)
+        expansion.frontier(a)
         params.append(a)
         yield a
 
@@ -298,26 +305,21 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
     coefficient of the nested form is an affine function of A_n, read off at
     the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
-    The resulting depth equals the series order.
-
-    The solve is incremental: ``fit_parameters`` adds one level per order
-    to the same order-by-order expansion that ``expand`` runs.  Order n
-    appends one coefficient per level, and only these depend on A_n; the
-    sums that do not are shared by the two trials and by the final pass
-    that stores the solved level, so order n costs about n**2 / 2
-    multiply-adds and the fit O(K**3).  The trial values, the slope and
-    every parameter are bit for bit those of two full expansions per order.
+    The resulting depth equals the series order.  ``fit_parameters`` runs
+    the solve incrementally; the trial values, the slope and every
+    parameter are bit for bit those of two full expansions per order.
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.
-        power: the repeated nesting power s, non-zero.
+        power: the repeated nesting power s, finite and non-zero.
 
     Raises:
         DegenerateSeriesError: the linear coefficient is zero.
         VanishingSensitivityError: some coefficient no longer responds to
             its parameter (slope below tolerance), typically after an
             earlier parameter fitted to exactly zero.
-        ValueError: c0 != 1, K < 1, or power == 0.
+        ValueError: c0 != 1, K < 1, a coefficient is not finite, or power
+            is 0 or not finite.
     """
     return ContinuedRootApproximant(power, tuple(fit_parameters(series, power)))
 

@@ -62,33 +62,36 @@ def string_exact_f(g: float) -> float:
     return 1.0 + g * g / 32.0 + (g / 4.0) * math.sqrt(1.0 + g * g / 64.0)
 
 
-def string_coefficients_exact(order: int) -> list[Fraction]:
-    """Exact rational Taylor coefficients of the string closed form.
+def _string_ratios(order: int) -> list[tuple[int, int]]:
+    """Taylor coefficients of the string closed form as integer ratios.
 
     Only three terms sit outside the square root; the rest follow from the
-    binomial series of sqrt(1 + g**2/64) shifted by the g/4 prefactor, so
-    every coefficient is an exact dyadic rational.
+    binomial series of sqrt(1 + g**2/64) shifted by the g/4 prefactor:
+    c_(2m+1) = C(1/2, m) / (4 * 64**m), where
+    C(1/2, m) = (-1)**(m+1) C(2m, m) / ((2m - 1) 4**m).
     """
-    from fractions import Fraction
-
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+    ratios = [(1, 1)] + [(0, 1)] * order
     if order >= 2:
-        coeffs[2] = Fraction(1, 32)
-    binom = Fraction(1)  # running value of C(1/2, m)
-    m = 0
-    while 2 * m + 1 <= order:
-        coeffs[2 * m + 1] += binom / (4 * 64**m)
-        m += 1
-        binom *= (Fraction(1, 2) - (m - 1)) / m
-    return coeffs
+        ratios[2] = (1, 32)
+    for m in range((order + 1) // 2):
+        num = (-1) ** (m + 1) * math.comb(2 * m, m)
+        ratios[2 * m + 1] = (num, (2 * m - 1) * 4 ** (4 * m + 1))
+    return ratios
+
+
+def string_coefficients_exact(order: int) -> list[Fraction]:
+    """Exact Taylor coefficients of the string closed form, all dyadic."""
+    from fractions import Fraction
+
+    return [Fraction(num, den) for num, den in _string_ratios(order)]
 
 
 def string_coefficients(order: int) -> list[float]:
-    """Float Taylor coefficients of the string closed form, any order."""
-    return [float(c) for c in string_coefficients_exact(order)]
+    """Float Taylor coefficients of the string closed form, any order, each
+    correctly rounded, as Python's true division of integers is."""
+    return [num / den for num, den in _string_ratios(order)]
 
 
 def _fixed(coeffs: Sequence[float]) -> Callable[[int], list[float]]:

@@ -66,10 +66,8 @@ class TruncatedSeries(Record):
         """Raise the series to a real power.
 
         The constant term must be exactly 1, which makes the result
-        well-defined termwise for any real exponent.  Uses the power
-        recurrence: differentiating h = u**s gives u h' = s u' h, and
-        matching coefficients yields each h[m] from the earlier ones, in
-        O(K^2) total: ``_Expansion`` with the series as its one bracket.
+        well-defined termwise for any real exponent.  The power recurrence
+        of ``_Expansion``, with the series as its one bracket, takes O(K^2).
         """
         u = self.coeffs
         if u[0] != 1.0:
@@ -77,8 +75,8 @@ class TruncatedSeries(Record):
         expansion = _Expansion(float(exponent), ())
         h = [1.0]
         for n in range(1, len(u)):
-            expansion.begin(n == 1)
-            h.append(expansion.frontier(u[n], True))
+            expansion.begin()
+            h.append(expansion.frontier(u[n]))
         return TruncatedSeries(tuple(h))
 
     def evaluate(self, x: float) -> float:
@@ -94,13 +92,16 @@ class _Expansion:
 
     Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
     and its power H_i = U_i**s; ``us[i]`` and ``hs[i]`` hold the
-    coefficients found so far.  Order n appends index m = n - i at every
-    level, innermost first, by the recurrence of u h' = s u' h:
-    h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed
-    from 0.0 in ascending j.  ``begin`` sums the terms j < m once, so
-    ``frontier`` can be run for several values of the innermost level's new
-    bracket coefficient.  ``params`` holds A_i of every outer level.
-    ``TruncatedSeries.power`` is the case of one level.
+    coefficients found so far from index 1 on, the constant 1 left implicit.
+    ``params`` holds A_i of every level but the innermost, whose bracket
+    coefficients the caller supplies; ``TruncatedSeries.power`` is the case
+    of one level.  Order n appends index m = n - i at every level,
+    innermost first, by the recurrence of u h' = s u' h: h[m] = (sum over
+    j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed from 0.0 in
+    ascending j.  ``begin`` sums the terms j < m once; the j = m term's
+    factor h[0] = 1, exact, is left out.  ``trials`` then reads the form's
+    coefficient n with the innermost level's new bracket coefficient at 0
+    and at 1, and ``frontier`` stores every level's new ones at a value.
     """
 
     def __init__(self, power: float, params: Sequence[float]):
@@ -108,39 +109,52 @@ class _Expansion:
         self.params = params
         self.us: list[list[float]] = []
         self.hs: list[list[float]] = []
-        # factors[m][j] is the factor (s + 1) j - m of the recurrence
+        # factors[m][j - 1] is the factor (s + 1) j - m of the recurrence
         self.factors: list[list[float]] = [[]]
 
-    def begin(self, new_level: bool) -> None:
-        """Start the next order, below a new innermost level if asked."""
+    def begin(self) -> None:
+        """Start the next order, adding innermost levels up to len(params) + 1."""
         n = len(self.factors)
-        self.factors.append([self.s1 * j - n for j in range(n + 1)])
-        if new_level:
-            self.us.append([1.0])
-            self.hs.append([1.0])
+        self.factors.append([self.s1 * j - n for j in range(1, n + 1)])
+        if len(self.us) <= len(self.params):
+            self.us.append([])
+            self.hs.append([])
         partial = self.partial = []
         for us, hs, f in zip(self.us, self.hs, reversed(self.factors)):
             # at level i, f is factors[n - i] and us, hs hold indices < n - i
             acc = 0.0
-            for fj, u, h in zip(f[1:-1], us[1:], reversed(hs[1:])):
+            for fj, u, h in zip(f, us, reversed(hs)):
                 acc += fj * u * h
             partial.append(acc)
 
-    def frontier(self, t: float, store: bool) -> float:
+    def trials(self) -> tuple[float, float]:
         """Coefficient n of the whole form when the innermost level's new
-        bracket coefficient is t; ``store`` appends each level's new ones."""
+        bracket coefficient is 0 and when it is 1."""
+        factors, partial, params = self.factors, self.partial, self.params
+        i = len(partial) - 1
+        m = len(factors) - 1 - i
+        f, p = factors[m][-1], partial[i]
+        h0, h1 = (p + f * 0.0) / m, (p + f) / m
+        for i in range(i - 1, -1, -1):
+            m += 1
+            a, f, p = params[i], factors[m][-1], partial[i]
+            h0, h1 = (p + f * (a * h0)) / m, (p + f * (a * h1)) / m
+        return h0, h1
+
+    def frontier(self, t: float) -> float:
+        """Coefficient n of the whole form when the innermost level's new
+        bracket coefficient is t; appends every level's new ones."""
         factors, partial, params = self.factors, self.partial, self.params
         us, hs = self.us, self.hs
-        n = len(factors) - 1
-        innermost = len(partial) - 1
-        h = 0.0
-        for i in range(innermost, -1, -1):
-            m = n - i
-            u = t if i == innermost else params[i] * h
-            # the j = m term; its H factor is h[0] = 1, so the product with
-            # it, exact, is left out
-            h = (partial[i] + factors[m][m] * u) / m
-            if store:
-                us[i].append(u)
-                hs[i].append(h)
+        i = len(partial) - 1
+        m = len(factors) - 1 - i
+        h = (partial[i] + factors[m][-1] * t) / m
+        us[i].append(t)
+        hs[i].append(h)
+        for i in range(i - 1, -1, -1):
+            m += 1
+            u = params[i] * h
+            h = (partial[i] + factors[m][-1] * u) / m
+            us[i].append(u)
+            hs[i].append(h)
         return h

@@ -15,7 +15,9 @@ from scratch, level by level, so the incremental expansion, ``evaluate``
 and ``TruncatedSeries.power`` must reproduce them bit for bit.
 ``reference_fit`` is the order-by-order fit that runs two full nested
 expansions per order, kept as the reference that the incremental ``fit``
-must reproduce bit for bit.
+must reproduce bit for bit.  ``string_coefficients_exact`` is the former
+generator of fluid_string's rational coefficients, a running binomial in
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -221,3 +223,23 @@ def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproxi
             raise VanishingSensitivityError(n, slope)
         params.append((coeffs[n] - at_zero) / slope)
     return ContinuedRootApproximant(power, tuple(params))
+
+
+def string_coefficients_exact(order: int) -> list[Fraction]:
+    """Exact rational Taylor coefficients of the string closed form.
+
+    Only three terms sit outside the square root; the rest follow from the
+    binomial series of sqrt(1 + g**2/64) shifted by the g/4 prefactor, so
+    every coefficient is an exact dyadic rational.
+    """
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)
+    if order >= 2:
+        coeffs[2] = Fraction(1, 32)
+    binom = Fraction(1)  # running value of C(1/2, m)
+    m = 0
+    while 2 * m + 1 <= order:
+        coeffs[2 * m + 1] += binom / (4 * 64**m)
+        m += 1
+        binom *= (Fraction(1, 2) - (m - 1)) / m
+    return coeffs

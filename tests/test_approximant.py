@@ -1,6 +1,7 @@
 """Fitting, evaluation, and asymptotics of the nested-root form."""
 
 import math
+import random
 import re
 import struct
 import sys
@@ -36,6 +37,7 @@ from continued_roots import _backend
 from oracles import (
     exact_expansion_coefficient,
     expansion_majorant,
+    fractional_power,
     gamma,
     nested_evaluate,
     nested_expansion,
@@ -279,6 +281,19 @@ class TestFit:
         with pytest.raises(ValueError, match="non-zero"):
             fit(TruncatedSeries((1.0, 1.0)), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_non_finite_coefficient_rejected(self, bad, index):
+        coeffs = [1.0, 0.5, 0.1]
+        coeffs[index] = bad
+        with pytest.raises(ValueError, match=f"finite coefficients; c{index} is"):
+            fit(TruncatedSeries(tuple(coeffs)), 0.5)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="nesting power must be finite"):
+            fit(TruncatedSeries((1.0, 0.5, 0.1)), power)
+
     def test_unnormalised_series_rejected(self):
         with pytest.raises(ValueError, match="constant term 1"):
             fit(TruncatedSeries((2.0, 1.0)), 0.5)
@@ -449,6 +464,37 @@ class TestMatchesFormerKernels:
             assert approx.evaluate(x).hex() == value.hex()
 
 
+@pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.75, -0.5, -1.0, 2.5])
+@pytest.mark.parametrize("depth", [32, 48, 64])
+class TestDeepBitwise:
+    """Depths past the strategies' 24, to twice the benchmark's deepest
+    series, compared with ``float.hex``.  Parameters of either sign leave
+    some fits failing part-way, where the error must match as well."""
+
+    @staticmethod
+    def instance(depth, s):
+        rng = random.Random(depth)
+        signs = (1.0, -1.0)
+        params = [rng.uniform(0.05, 2.0) * rng.choice(signs) for _ in range(depth)]
+        return ContinuedRootApproximant(s, tuple(params))
+
+    def test_fit_matches_reference(self, depth, s):
+        series = self.instance(depth, s).expand(depth)
+        assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
+
+    def test_expand_matches_former_kernel(self, depth, s):
+        approx = self.instance(depth, s)
+        want = nested_expansion(list(approx.params), s, depth + 8)
+        got = approx.expand(depth + 8).coeffs
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+    def test_power_matches_former_kernel(self, depth, s):
+        coeffs = self.instance(depth, s).expand(depth).coeffs
+        got = TruncatedSeries(coeffs).power(s).coeffs
+        want = fractional_power(list(coeffs), s)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
 class TestKernelHooks:
     def test_expand_and_evaluate_pass_through_the_kernel_names(self, monkeypatch):
         # perfbench/tracing.py rebinds these two functions, found with
@@ -598,6 +644,8 @@ class TestAmplitude:
             ContinuedRootApproximant(0.5, (1.0, -0.5)).amplitude()
         with pytest.raises(RealnessError, match="parameter 1"):
             ContinuedRootApproximant(0.5, (0.0, 0.5)).amplitude()
+        with pytest.raises(RealnessError, match="parameter 2 is nan"):
+            ContinuedRootApproximant(0.5, (1.0, math.nan)).amplitude()
 
     @given(st.data())
     def test_product_form(self, data):

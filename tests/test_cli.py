@@ -944,3 +944,21 @@ class TestStartup:
         package, parser_and_encoder, cli = map(set, json.loads(proc.stdout))
         assert package & DEFERRED_MODULES == set()
         assert (cli - parser_and_encoder) & DEFERRED_MODULES == set()
+
+    def test_string_table_needs_no_rational_arithmetic(self):
+        # fluid_string's floats come from integer quotients, not Fractions
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys\n"
+            "from continued_roots.cli import main\n"
+            "main(['table', '--problem', 'fluid_string', '--kmax', '13'])\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

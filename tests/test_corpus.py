@@ -19,6 +19,8 @@ from continued_roots import (
     string_exact_f,
 )
 
+from oracles import string_coefficients_exact as former_string_coefficients_exact
+
 # Frozen reference: exact Taylor coefficients of the string closed form,
 # cross-checked against an independent computer-algebra expansion.
 STRING_EXACT = [
@@ -147,6 +149,14 @@ class TestStringCoefficients:
         for got, want in zip(string_coefficients(13), STRING_EXACT):
             assert got == float(want)
             assert Fraction(got) == want
+
+    def test_integer_ratios_match_the_running_binomial(self):
+        # floats from the quotient of two integers, which Python rounds
+        # correctly, so each is the exact value rounded once
+        exact = former_string_coefficients_exact(256)
+        assert string_coefficients_exact(256) == exact
+        got = [c.hex() for c in string_coefficients(256)]
+        assert got == [float(c).hex() for c in exact]
 
     def test_partial_sum_matches_closed_form(self):
         series = TruncatedSeries(tuple(string_coefficients(8)))

@@ -191,6 +191,11 @@ class TestHerschfeldTerms:
         with pytest.raises(RealnessError, match="parameter 2"):
             herschfeld_terms(ContinuedRootApproximant(0.5, (1.0, -1.0)), 2.0)
 
+    def test_nan_param_rejected(self):
+        # max((1.0, nan)) is 1.0, so a NaN let through would certify
+        with pytest.raises(RealnessError, match="parameter 2 is nan"):
+            herschfeld_terms(ContinuedRootApproximant(0.5, (1.0, math.nan)), 2.0)
+
     def test_variable_bound_domain(self):
         with pytest.raises(ValueError, match="positive"):
             herschfeld_terms(ContinuedRootApproximant(0.5, (1.0,)), 0.0)
