@@ -63,14 +63,33 @@ def finite_order_exponent(power: float, order: int) -> float:
     return (power - power ** (order + 1)) / (1.0 - power)
 
 
-def _require_positive(params: Sequence[float], subject: str) -> None:
-    """Raise RealnessError naming the first parameter that is not > 0."""
-    for n, a in enumerate(params, start=1):
+def _require_positive(
+    params: Sequence[float], subject: str, start: int = 0
+) -> None:
+    """Raise RealnessError naming the first parameter after the first
+    ``start`` that is not > 0."""
+    for n, a in enumerate(params[start:], start + 1):
         if not a > 0.0:
             raise RealnessError(
                 f"{subject} requires strictly positive parameters; "
                 f"parameter {n} is {a!r}"
             )
+
+
+def _power_law(
+    params: Sequence[float], s: float, done: int = 0, b: float = 1.0
+) -> AmplitudeResult:
+    """Large-argument law of the form with these parameters and power s.
+
+    ``b`` is the product of A_n**(s**n) over the first ``done`` parameters,
+    which must be known to be positive.  The rest are checked, and then
+    their factors are multiplied in, outermost first, so B_k continues from
+    B_done with the operations that build it from 1.
+    """
+    _require_positive(params, "amplitude", done)
+    for n, a in enumerate(params[done:], done + 1):
+        b *= a ** (s**n)
+    return AmplitudeResult(b, finite_order_exponent(s, len(params)), len(params))
 
 
 class ExponentTarget(Record):
@@ -165,12 +184,7 @@ class ContinuedRootApproximant(Record):
         exponent is the finite geometric sum of powers.  All parameters must
         be strictly positive for the fractional powers to be real.
         """
-        _require_positive(self.params, "amplitude")
-        s = self.power
-        b = 1.0
-        for n, a in enumerate(self.params, start=1):
-            b *= a ** (s**n)
-        return AmplitudeResult(b, finite_order_exponent(s, self.order), self.order)
+        return _power_law(self.params, self.power)
 
     def asymptote(self, x: float) -> float:
         """Value of the large-argument power law at a point x > 0."""

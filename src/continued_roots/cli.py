@@ -13,9 +13,9 @@ Subcommands:
 
 Problems come either from the built-in corpus (``--problem``) or from a
 JSON problem file (``--file``) with fields ``name``, ``coefficients``
-(first entry 1), ``beta`` (> -1/2), and optional ``known_amplitude``,
-``observable_prefactor`` (default 1), ``observable_exact`` and
-``match_point`` (default 1).
+(first entry 1), ``beta`` (non-zero, > -1/2), and optional
+``known_amplitude``, ``observable_prefactor`` (default 1),
+``observable_exact`` and ``match_point`` (default 1).
 
 Errors, usage errors included, are reported as a JSON object
 ``{"error": kind, "message": ...}`` on stdout with a non-zero exit status.
@@ -198,6 +198,8 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
             f"problem file field 'beta' must be a finite number above -1/2, "
             f"got {beta!r}"
         )
+    if beta == 0:  # the nesting power s = beta/(1 + beta) would be 0
+        raise ValueError(f"problem file field 'beta' must be non-zero, got {beta!r}")
     # keyword arguments are evaluated in order: this is the order of checks
     return corpus.BenchmarkProblem(
         known_amplitude=_optional_number(data, "known_amplitude"),
@@ -247,16 +249,17 @@ def _resolve_problem(args: argparse.Namespace) -> corpus.BenchmarkProblem:
     return load_problem_file(args.file)
 
 
-def _check_depth(option: str, value: int) -> None:
+def _check_depth(option: str, value: int, lowest: int) -> None:
+    """Reject a depth option outside lowest..MAX_DEPTH, naming the option."""
+    if value < lowest:
+        raise ValueError(f"{option} must be at least {lowest}, got {value}")
     if value > MAX_DEPTH:
         raise ValueError(f"{option} must be at most {MAX_DEPTH}, got {value}")
 
 
 def _check_order(order: int) -> None:
-    """--order is 1..MAX_DEPTH; depth_table checks --kmax's lower bound."""
-    if order < 1:
-        raise ValueError(f"--order must be at least 1, got {order}")
-    _check_depth("--order", order)
+    """--order is 1..MAX_DEPTH."""
+    _check_depth("--order", order, 1)
 
 
 def _fit_order(problem: corpus.BenchmarkProblem, order: int) -> ContinuedRootApproximant:
@@ -370,7 +373,7 @@ def _human_line(order: object, *cells: str) -> str:
 
 def _command_table(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
-    _check_depth("--kmax", args.kmax)
+    _check_depth("--kmax", args.kmax, 2)  # a table starts at depth 2
     rows = depth_table(problem, args.kmax)
     if args.format == "csv":
         rendering = _render_table_csv(rows)

@@ -18,6 +18,7 @@ from ._record import Record
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
+    _power_law,
     _require_positive,
     exponent_to_power,
     finite_order_exponent,
@@ -194,6 +195,15 @@ def sequence_report(
     target amplitude when that is known.  Approximants that cannot produce
     a real amplitude yield failed rows rather than aborting the report.
 
+    Every row equals the one ``amplitude()`` of its approximant gives, bit
+    for bit, but B_k is carried along the sequence: when an approximant has
+    the previous one's power and its parameters extend the previous ones,
+    B_k continues from the previous B with one factor A_n**(s**n) per new
+    parameter.  So a prefix chain such as ``fit_sequence`` returns costs one
+    factor per parameter, not one per parameter and row.  Any other
+    approximant restarts the product at 1; once a chain meets a parameter
+    that is not > 0, each deeper row of it fails naming that parameter.
+
     Raises ValueError when depths are not strictly increasing or the
     prefactor is not positive.
     """
@@ -207,9 +217,14 @@ def sequence_report(
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"depths must be strictly increasing, got {orders}")
     rows = []
+    # B over the first `done` parameters of `chain`, all of them positive
+    chain, power, done, b = (), None, 0, 1.0
     for approx in approximants:
+        if approx.power != power or approx.params[: len(chain)] != chain:
+            done, b = 0, 1.0  # not a deeper form of the last one: restart
+        chain, power = approx.params, approx.power
         try:
-            result = approx.amplitude()
+            result = _power_law(chain, power, done, b)
         except ContinuedRootError as err:
             # The exponent depends only on power and depth, so report it
             # even when the amplitude is not real.
@@ -224,6 +239,7 @@ def sequence_report(
                 )
             )
             continue
+        done, b = len(chain), result.amplitude
         estimate = result.estimate(target.exponent, match_point)
         percent = None
         if target.amplitude is not None:

@@ -255,6 +255,19 @@ class TestDepthCap:
         assert payload["error"] == "invalid-input"
         assert f"--kmax must be at most {MAX_DEPTH}" in payload["message"]
 
+    @pytest.mark.parametrize("kmax", [1, 0, -3])
+    def test_kmax_below_two_rejected_before_coefficients(
+        self, capsys, no_coefficients, kmax
+    ):
+        code, out = run_cli(
+            capsys, "table", "--problem", "fluid_string", "--kmax", str(kmax)
+        )
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": f"--kmax must be at least 2, got {kmax}",
+        }
+
     def test_depth_at_cap_is_fitted(self, capsys):
         # the string fit stops at depth 14, so the cap is not what fails
         code, out = run_cli(
@@ -291,6 +304,20 @@ class TestProblemFileValidation:
         code, out = run_cli(capsys, "fit", "--file", path, "--order", "1")
         assert code == 1
         assert "beta" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("beta", [0, 0.0, -0.0])
+    @pytest.mark.parametrize("command", ["fit", "table"])
+    def test_zero_beta_rejected_naming_the_field(
+        self, capsys, tmp_path, command, beta
+    ):
+        path = write_problem(tmp_path, beta=beta)
+        depth = "--order" if command == "fit" else "--kmax"
+        code, out = run_cli(capsys, command, "--file", path, depth, "2")
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": f"problem file field 'beta' must be non-zero, got {beta!r}",
+        }
 
     def assert_rejected(self, capsys, path, field):
         code, out = run_cli(capsys, "fit", "--file", path, "--order", "2")

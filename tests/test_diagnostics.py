@@ -13,9 +13,12 @@ from continued_roots import (
     ConvergenceDiagnostics,
     ExponentTarget,
     RealnessError,
+    ReportRow,
     TruncatedSeries,
     depth_table,
+    diagnostics,
     exponent_to_power,
+    finite_order_exponent,
     fit,
     fit_sequence,
     herschfeld_terms,
@@ -226,9 +229,50 @@ class TestHerschfeldTerms:
         assert not diag.bounded
 
 
+def bits(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def assert_rows_alone(approximants, target, observable_prefactor=1.0, match_point=1.0):
+    """Each report row, bit for bit, as ``amplitude()`` and
+    ``AmplitudeResult.estimate`` give it for its approximant alone; when
+    those raise some other error, the report raises it too."""
+    expected = []
+    try:
+        for approx in approximants:
+            try:
+                law = approx.amplitude()
+            except ContinuedRootError as err:
+                exponent = finite_order_exponent(approx.power, approx.order)
+                expected.append((approx.order, None, exponent, None, None, str(err)))
+                continue
+            estimate = law.estimate(target.exponent, match_point)
+            percent = None
+            if target.amplitude is not None:
+                percent = (estimate - target.amplitude) / target.amplitude * 100.0
+            expected.append(
+                (
+                    law.order,
+                    law.amplitude,
+                    law.exponent,
+                    observable_prefactor * estimate,
+                    percent,
+                    None,
+                )
+            )
+    except ArithmeticError as err:
+        with pytest.raises(type(err)) as excinfo:
+            sequence_report(approximants, target, observable_prefactor, match_point)
+        assert str(excinfo.value) == str(err)
+        return
+    report = sequence_report(approximants, target, observable_prefactor, match_point)
+    assert [tuple(map(bits, (getattr(row, f) for f in ReportRow.__slots__)))
+            for row in report.rows] == [tuple(map(bits, row)) for row in expected]
+
+
 class TestSequenceReport:
-    def fits(self, kmax=5):
-        modes = problem("nls_coherent_modes")
+    def fits(self, kmax=5, name="nls_coherent_modes"):
+        modes = problem(name)
         series = TruncatedSeries(tuple(modes.coefficients(kmax)))
         power = exponent_to_power(modes.target_exponent)
         return fit_sequence(series, power, range(2, kmax + 1)), modes
@@ -292,24 +336,124 @@ class TestSequenceReport:
         for row in report.rows[:-1]:
             assert not row.failed
 
-    def test_one_amplitude_call_per_row(self, monkeypatch):
-        fits, modes = self.fits()
+    def test_prefix_chain_rows_equal_each_approximant_alone(self):
+        fits, modes = self.fits(8, "fluid_string")
         target = ExponentTarget(modes.target_exponent, modes.known_amplitude)
-        amplitude = ContinuedRootApproximant.amplitude
-        calls = []
-
-        def counted(approx):
-            calls.append(approx.order)
-            return amplitude(approx)
-
-        monkeypatch.setattr(ContinuedRootApproximant, "amplitude", counted)
+        assert_rows_alone(fits, target, observable_prefactor=2.5, match_point=7.0)
         report = sequence_report(fits, target, match_point=7.0)
-        assert calls == [2, 3, 4, 5]
-        monkeypatch.undo()
         for fit_k, row in zip(fits, report.rows):
             assert row.observable == fit_k.amplitude_estimate(
                 modes.target_exponent, 7.0
             )
+
+    def test_broken_chains_restart_the_product(self):
+        fits, modes = self.fits(8, "fluid_string")
+        s = fits[0].power
+        changed = fits[2].params[:2] + (0.25,) + fits[2].params[3:]
+        approximants = [
+            fits[0],
+            fits[1],
+            ContinuedRootApproximant(s, changed),  # a changed parameter
+            fits[3],  # does not extend the changed form, so it restarts
+            ContinuedRootApproximant(-s, fits[4].params),  # a changed power
+            ContinuedRootApproximant(s, (1.0,) * 6 + (-0.5,)),  # unrelated
+            fits[6],
+        ]
+        target = ExponentTarget(modes.target_exponent, modes.known_amplitude)
+        assert_rows_alone(approximants, target, match_point=7.0)
+        assert_rows_alone(approximants, ExponentTarget(modes.target_exponent))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -0.5, math.nan, math.inf])
+    def test_parameter_values_along_a_chain(self, bad):
+        params = (0.7, 1.3, bad, 0.9, 1.1, 2.0)
+        chain = [ContinuedRootApproximant(0.5, params[:k]) for k in range(1, 7)]
+        target = ExponentTarget(1.0, 1.3)
+        assert_rows_alone(chain, target, match_point=7.0)
+        rows = sequence_report(chain, target).rows
+        assert [row.failed for row in rows] == [False, False] + [not bad > 0.0] * 4
+        for row in rows[2:]:
+            if row.failed:
+                assert row.error.endswith(f"parameter 3 is {bad!r}")
+
+    def test_each_failed_row_names_its_own_parameter_value(self):
+        # 0.0 == -0.0 and a NaN is its own prefix, so these rows form one
+        # chain, yet each message shows the row's own value
+        nan = math.nan
+        approximants = [
+            ContinuedRootApproximant(0.5, (1.0, 0.0)),
+            ContinuedRootApproximant(0.5, (1.0, -0.0, 2.0)),
+            ContinuedRootApproximant(0.5, (1.0, 0.0, 2.0, 3.0)),
+            ContinuedRootApproximant(0.5, (1.0, 2.0, 3.0, 4.0, nan)),
+            ContinuedRootApproximant(0.5, (1.0, 2.0, 3.0, 4.0, nan, 1.0)),
+            ContinuedRootApproximant(0.5, (1.0, 2.0, 3.0, 4.0, math.nan, 1.0, 1.0)),
+        ]
+        target = ExponentTarget(1.0)
+        assert_rows_alone(approximants, target)
+        errors = [row.error for row in sequence_report(approximants, target).rows]
+        assert [e.rsplit("; ", 1)[1] for e in errors] == [
+            "parameter 2 is 0.0",
+            "parameter 2 is -0.0",
+            "parameter 2 is 0.0",
+        ] + ["parameter 5 is nan"] * 3
+
+    @given(
+        power=st.sampled_from([0.5, 2 / 3, -0.5, -1.0, 2.5]),
+        params=st.lists(
+            st.one_of(
+                st.floats(min_value=0.05, max_value=4.0),
+                st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf]),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.integers(1, 3),
+                st.sampled_from(["extend", "param", "power", "unrelated"]),
+                st.floats(min_value=-2.0, max_value=4.0),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_any_sequence_matches_each_approximant_alone(self, power, params, steps):
+        approximants, depth = [], 0
+        for step, edit, value in steps:
+            depth += step
+            if depth > len(params):
+                break
+            p, s = list(params[:depth]), power
+            if edit == "param":
+                p[depth // 2] = value
+            elif edit == "power":
+                s = -power
+            elif edit == "unrelated":
+                p = [value] * depth
+            approximants.append(ContinuedRootApproximant(s, tuple(p)))
+        assert_rows_alone(approximants, ExponentTarget(1.0, 1.3), match_point=7.0)
+
+    def test_prefix_chain_takes_one_factor_per_parameter(self, monkeypatch):
+        params = tuple(0.5 + (n % 7) / 10 for n in range(64))
+        chain = [ContinuedRootApproximant(2 / 3, params[:k]) for k in range(2, 65)]
+        amplitude_calls, factors = [], []
+        power_law = diagnostics._power_law
+
+        def counted(params, s, done=0, b=1.0):
+            factors.append(len(params) - done)
+            return power_law(params, s, done, b)
+
+        monkeypatch.setattr(
+            ContinuedRootApproximant,
+            "amplitude",
+            lambda approx: amplitude_calls.append(approx.order),
+        )
+        monkeypatch.setattr(diagnostics, "_power_law", counted)
+        target = ExponentTarget(2.0, 0.0625)
+        report = sequence_report(chain, target)
+        assert amplitude_calls == []
+        assert sum(factors) == 64
+        monkeypatch.undo()
+        assert_rows_alone(chain, target)
+        assert not any(row.failed for row in report.rows)
 
     def test_orders_must_increase(self):
         fits, modes = self.fits()
