@@ -2,9 +2,9 @@
 
 A record names its fields in ``__slots__``; assigning or deleting a field
 afterwards raises AttributeError.  A record that only stores its fields
-gets an ``__init__`` compiled from ``__slots__``, with the defaults in the
-private class attribute ``_defaults``, so it runs the same code as a
-hand-written one; a record that validates or coerces writes its own and
+gets an ``__init__``, compiled from ``__slots__`` with the defaults in the
+private class attribute ``_defaults``, that stores each field through its
+slot's descriptor; a record that validates or coerces writes its own and
 sets each field once with ``_set``.  Records compare and hash by class and
 field values, print every field, and pickle through their constructor, as
 frozen dataclasses do, but without importing ``dataclasses`` at start-up.
@@ -25,8 +25,9 @@ class Record:
             f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
             for name in names
         )
-        body = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
-        namespace = {"_set": _set, "_defaults": cls._defaults}
+        body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+        namespace["_defaults"] = cls._defaults
         exec(f"def __init__(self, {params}):\n{body}", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"

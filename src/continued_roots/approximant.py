@@ -258,13 +258,14 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
     whose base is negative under a non-integer power or zero under a
     negative power.
     """
-    integer_power = float(s).is_integer()
-    h = 1.0
-    for depth in range(len(params), 0, -1):
-        u = 1.0 + params[depth - 1] * x * h
-        if (u < 0.0 and not integer_power) or (u == 0.0 and s < 0.0):
-            raise ComplexBreakdownError(depth, x)
+    h, depth = 1.0, len(params)
+    for a in reversed(params):
+        u = 1.0 + a * x * h
+        if not u > 0.0:
+            if (u < 0.0 and not float(s).is_integer()) or (u == 0.0 and s < 0.0):
+                raise ComplexBreakdownError(depth, x)
         h = u**s
+        depth -= 1
     return h
 
 

@@ -29,11 +29,13 @@ class VanishingSensitivityError(ContinuedRootError):
     kind = "vanishing-sensitivity"
 
     def __init__(self, order: int, slope: float):
-        self.order = order
-        self.slope = slope
-        super().__init__(
-            f"coefficient of x^{order} is insensitive to parameter {order} "
-            f"(affine slope {slope:.3e}); cannot solve for it"
+        super().__init__(order, slope)
+        self.order, self.slope = order, slope
+
+    def __str__(self) -> str:
+        return (
+            f"coefficient of x^{self.order} is insensitive to parameter "
+            f"{self.order} (affine slope {self.slope:.3e}); cannot solve for it"
         )
 
 
@@ -43,11 +45,13 @@ class ComplexBreakdownError(ContinuedRootError):
     kind = "complex-breakdown"
 
     def __init__(self, depth: int, x: float):
-        self.depth = depth
-        self.x = x
-        super().__init__(
-            f"bracket at depth {depth} has a non-positive base at x = {x:g}; "
-            "the value is not real"
+        super().__init__(depth, x)
+        self.depth, self.x = depth, x
+
+    def __str__(self) -> str:
+        return (
+            f"bracket at depth {self.depth} has a non-positive base at "
+            f"x = {self.x:g}; the value is not real"
         )
 
 
@@ -69,8 +73,8 @@ class UnknownProblemError(ContinuedRootError):
     kind = "not-found"
 
     def __init__(self, name: str, valid: tuple[str, ...]):
-        self.name = name
-        self.valid = valid
-        super().__init__(
-            f"unknown problem {name!r}; valid names: {', '.join(valid)}"
-        )
+        super().__init__(name, valid)
+        self.name, self.valid = name, valid
+
+    def __str__(self) -> str:
+        return f"unknown problem {self.name!r}; valid names: {', '.join(self.valid)}"

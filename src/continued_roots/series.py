@@ -91,18 +91,20 @@ class _Expansion:
     """Taylor coefficients of the nested form, built one order at a time.
 
     Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
-    and its power H_i = U_i**s; ``us[i]`` and ``hs[i]`` hold the
-    coefficients found so far from index 1 on, the constant 1 left implicit.
-    ``params`` holds A_i of every level but the innermost, whose bracket
-    coefficients the caller supplies; ``TruncatedSeries.power`` is the case
-    of one level.  Order n appends index m = n - i at every level,
-    innermost first, by the recurrence of u h' = s u' h: h[m] = (sum over
-    j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed from 0.0 in
-    ascending j.  ``begin`` sums the terms j < m once; the j = m term's
-    factor h[0] = 1, exact, is left out.  ``trials`` then reads the form's
-    coefficient n with the innermost level's new bracket coefficient at 0
-    and at 1, and ``frontier`` stores every level's new ones at a value.
+    and its power H_i = U_i**s; ``us[i]`` holds U_i's coefficients from
+    index 1 up and ``hs[i]`` H_i's newest first, down to index 1, the
+    constant 1 left implicit.  ``params`` holds A_i of every level but the
+    innermost, whose bracket coefficients the caller supplies;
+    ``TruncatedSeries.power`` is the case of one level.  Order n appends
+    index m = n - i at every level, innermost first, by the recurrence of
+    u h' = s u' h: h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j]
+    h[m - j]) / m, summed from 0.0 in ascending j.  ``begin`` sums the
+    terms j < m once by zipping factors[m], us[i] and hs[i], and takes 0.0
+    for a level it adds, whose sum is empty; the j = m term's factor
+    h[0] = 1 is left out.  ``trials`` and ``frontier`` finish the order.
     """
+
+    __slots__ = ("s1", "params", "us", "hs", "factors", "partial")
 
     def __init__(self, power: float, params: Sequence[float]):
         self.s1 = power + 1.0
@@ -114,18 +116,20 @@ class _Expansion:
 
     def begin(self) -> None:
         """Start the next order, adding innermost levels up to len(params) + 1."""
-        n = len(self.factors)
-        self.factors.append([self.s1 * j - n for j in range(1, n + 1)])
+        factors, s1, n = self.factors, self.s1, len(self.factors)
+        factors.append(row := [])
+        for j in range(1, n + 1):
+            row.append(s1 * j - n)
+        partial = self.partial = []
+        for us, hs, f in zip(self.us, self.hs, reversed(factors)):
+            acc = 0.0
+            for fj, u, h in zip(f, us, hs):
+                acc += fj * u * h
+            partial.append(acc)
         if len(self.us) <= len(self.params):
             self.us.append([])
             self.hs.append([])
-        partial = self.partial = []
-        for us, hs, f in zip(self.us, self.hs, reversed(self.factors)):
-            # at level i, f is factors[n - i] and us, hs hold indices < n - i
-            acc = 0.0
-            for fj, u, h in zip(f, us, reversed(hs)):
-                acc += fj * u * h
-            partial.append(acc)
+            partial.append(0.0)
 
     def trials(self) -> tuple[float, float]:
         """Coefficient n of the whole form when the innermost level's new
@@ -143,18 +147,18 @@ class _Expansion:
 
     def frontier(self, t: float) -> float:
         """Coefficient n of the whole form when the innermost level's new
-        bracket coefficient is t; appends every level's new ones."""
+        bracket coefficient is t; stores every level's new ones."""
         factors, partial, params = self.factors, self.partial, self.params
         us, hs = self.us, self.hs
         i = len(partial) - 1
         m = len(factors) - 1 - i
         h = (partial[i] + factors[m][-1] * t) / m
         us[i].append(t)
-        hs[i].append(h)
+        hs[i].insert(0, h)
         for i in range(i - 1, -1, -1):
             m += 1
             u = params[i] * h
             h = (partial[i] + factors[m][-1] * u) / m
             us[i].append(u)
-            hs[i].append(h)
+            hs[i].insert(0, h)
         return h

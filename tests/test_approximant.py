@@ -387,6 +387,10 @@ class TestFitMatchesReference:
     @given(any_powers, deep_param_lists)
     @example(-1.0, [1.0, -0.5, 2.0, 0.25])
     @example(0.5, [1.0, 0.0, 0.5, 1.0])
+    # depths 1 and 2 with a zero parameter: the innermost level starts empty
+    @example(-1.0, [0.0])
+    @example(-1.0, [1.0, 0.0])
+    @example(-1.0, [0.0, 1.0])
     def test_known_instance_bitwise(self, s, params):
         series = ContinuedRootApproximant(s, tuple(params)).expand(len(params))
         assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
@@ -431,6 +435,9 @@ class TestMatchesFormerKernels:
     @given(any_powers, any_params, st.integers(min_value=-24, max_value=8))
     @example(-1.0, [1.0, 0.0, 2.0], 4)
     @example(2.5, [0.5], 6)
+    @example(-1.0, [0.0], 0)
+    @example(-1.0, [1.0, 0.0], 0)
+    @example(-1.0, [0.0, 1.0], 2)
     def test_expand_bitwise(self, s, params, offset):
         order = max(0, len(params) + offset)
         got = ContinuedRootApproximant(s, tuple(params)).expand(order)
@@ -446,6 +453,19 @@ class TestMatchesFormerKernels:
     @example(-1.0, [1.0, -1.0], 1.0)
     @example(2.0, [1.0, -5.0], 1.0)
     @example(3.0, [1.0] * 5, 7.0)
+    # a bracket exactly 0 under a negative power raises
+    @example(-1.0, [-0.5], 2.0)
+    @example(-2.0, [1.0, -1.0], 1.0)
+    # a bracket below 0 under an integer power does not
+    @example(-2.0, [1.0, -5.0], 1.0)
+    @example(2.0, [-5.0, 1.0], 1.0)
+    # NaN passes through with no raise, and so do x = inf and -0.0
+    @example(0.5, [1.0, math.nan], 1.0)
+    @example(0.5, [1.0, 2.0], math.inf)
+    @example(-0.5, [-1.0, 0.5], math.inf)
+    @example(0.5, [0.0], math.inf)
+    @example(0.5, [1.0, -0.0], 3.0)
+    @example(-1.0, [-0.0], 2.0)
     def test_evaluate_bitwise(self, s, params, x):
         approx = ContinuedRootApproximant(s, tuple(params))
         try:
