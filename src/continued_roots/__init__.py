@@ -12,7 +12,6 @@ from .approximant import (
     AmplitudeResult,
     ContinuedRootApproximant,
     ExponentTarget,
-    best_real_order,
     exponent_to_power,
     finite_order_exponent,
     fit,
@@ -40,7 +39,6 @@ from .errors import (
     ComplexBreakdownError,
     ContinuedRootError,
     DegenerateSeriesError,
-    NoRealApproximantError,
     RealnessError,
     UnknownProblemError,
     VanishingSensitivityError,
@@ -59,14 +57,12 @@ __all__ = [
     "DegenerateSeriesError",
     "ExponentTarget",
     "ExtrapolationReport",
-    "NoRealApproximantError",
     "RealnessError",
     "ReportRow",
     "TruncatedSeries",
     "UnknownProblemError",
     "VanishingSensitivityError",
     "backend_name",
-    "best_real_order",
     "depth_table",
     "exponent_to_power",
     "finite_order_exponent",

@@ -19,7 +19,6 @@ from ._record import Record, _set
 from .errors import (
     ComplexBreakdownError,
     DegenerateSeriesError,
-    NoRealApproximantError,
     RealnessError,
     VanishingSensitivityError,
 )
@@ -84,11 +83,17 @@ def _power_law(
     ``b`` is the product of A_n**(s**n) over the first ``done`` parameters,
     which must be known to be positive.  The rest are checked, and then
     their factors are multiplied in, outermost first, so B_k continues from
-    B_done with the operations that build it from 1.
+    B_done with the operations that build it from 1.  Raises ValueError,
+    naming the depth, when a factor leaves the float range (only |s| > 1).
     """
     _require_positive(params, "amplitude", done)
-    for n, a in enumerate(params[done:], done + 1):
-        b *= a ** (s**n)
+    try:
+        for n, a in enumerate(params[done:], done + 1):
+            b *= a ** (s**n)
+    except OverflowError:
+        raise ValueError(
+            f"the amplitude factor at depth {n} leaves the float range"
+        ) from None
     return AmplitudeResult(b, finite_order_exponent(s, len(params)), len(params))
 
 
@@ -123,8 +128,16 @@ class AmplitudeResult(Record):
         """This law converted to one of x**target_exponent at ``match_point``.
 
         B_k * match_point**(beta_k - target); B_k itself at match point 1.
+        Raises ValueError, naming the depth, when the conversion leaves the
+        float range.
         """
-        return self.amplitude * match_point ** (self.exponent - target_exponent)
+        try:
+            return self.amplitude * match_point ** (self.exponent - target_exponent)
+        except OverflowError:
+            raise ValueError(
+                f"the estimate at depth {self.order} leaves the float range "
+                f"at match point {match_point!r}"
+            ) from None
 
 
 class ContinuedRootApproximant(Record):
@@ -167,11 +180,14 @@ class ContinuedRootApproximant(Record):
 
         Raises ComplexBreakdownError, naming the offending depth, if a
         negative parameter drives some bracket base negative under a
-        non-integer power, and ValueError, naming x, if a bracket's power
-        leaves the float range (possible only for |s| > 1).
+        non-integer power, and ValueError, naming x, if x is negative or not
+        finite or a bracket's power leaves the float range (possible only for
+        |s| > 1).
         """
         if x < 0.0:
             raise ValueError(f"argument must be non-negative, got {x!r}")
+        if not x < math.inf:
+            raise ValueError(f"argument must be finite, got {x!r}")
         try:
             return nested_evaluate(self.params, self.power, float(x))
         except OverflowError:
@@ -182,7 +198,8 @@ class ContinuedRootApproximant(Record):
 
         The amplitude is the product of A_n**(s**n) over the depth, and the
         exponent is the finite geometric sum of powers.  All parameters must
-        be strictly positive for the fractional powers to be real.
+        be strictly positive for the fractional powers to be real.  Raises
+        ValueError, naming the depth, when a factor leaves the float range.
         """
         return _power_law(self.params, self.power)
 
@@ -192,22 +209,6 @@ class ContinuedRootApproximant(Record):
             raise ValueError(f"asymptote requires x > 0, got {x!r}")
         result = self.amplitude()
         return result.amplitude * x**result.exponent
-
-    def amplitude_estimate(
-        self, target_exponent: float, match_point: float = 1.0
-    ) -> float:
-        """Estimate of the amplitude of x**target_exponent.
-
-        The finite-depth form grows like B_k * x**beta_k with beta_k short of
-        the target; the estimate converts one law into the other by matching
-        them at ``match_point``: B_k * match_point**(beta_k - target).  With
-        the default match point 1 this is just B_k.
-        """
-        if not match_point > 0.0:
-            raise ValueError(
-                f"match point must be positive, got {match_point!r}"
-            )
-        return self.amplitude().estimate(target_exponent, match_point)
 
     def to_rational(self) -> tuple[list[float], list[float]]:
         """Collapse the s = -1 form into a ratio of polynomials.
@@ -360,25 +361,3 @@ def fit_sequence(
     deepest = max(orders)
     params = fit(TruncatedSeries(series.coeffs[: deepest + 1]), power).params
     return [ContinuedRootApproximant(power, params[:k]) for k in orders]
-
-
-def best_real_order(
-    approximants: Sequence[ContinuedRootApproximant],
-) -> ContinuedRootApproximant:
-    """Highest-order member that is real-valued on x >= 0.
-
-    Raises NoRealApproximantError when every member has a negative
-    parameter.
-    """
-    if not approximants:
-        raise ValueError("no approximants given")
-    best = None
-    for approx in approximants:
-        if approx.is_real_valued and (best is None or approx.order > best.order):
-            best = approx
-    if best is None:
-        raise NoRealApproximantError(
-            f"none of the {len(approximants)} approximants is real-valued "
-            "on the non-negative half-line"
-        )
-    return best

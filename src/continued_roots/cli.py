@@ -257,13 +257,8 @@ def _check_depth(option: str, value: int, lowest: int) -> None:
         raise ValueError(f"{option} must be at most {MAX_DEPTH}, got {value}")
 
 
-def _check_order(order: int) -> None:
-    """--order is 1..MAX_DEPTH."""
-    _check_depth("--order", order, 1)
-
-
 def _fit_order(problem: corpus.BenchmarkProblem, order: int) -> ContinuedRootApproximant:
-    _check_order(order)
+    _check_depth("--order", order, 1)
     series = TruncatedSeries(tuple(problem.coefficients(order)))
     return fit(series, exponent_to_power(problem.target_exponent))
 
@@ -374,7 +369,7 @@ def _human_line(order: object, *cells: str) -> str:
 def _command_table(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     _check_depth("--kmax", args.kmax, 2)  # a table starts at depth 2
-    rows = depth_table(problem, args.kmax)
+    rows = depth_table(problem, args.kmax).rows
     if args.format == "csv":
         rendering = _render_table_csv(rows)
     elif args.format == "json":
@@ -428,7 +423,7 @@ def _command_diagnose(args: argparse.Namespace) -> int:
 def _command_pade_check(args: argparse.Namespace) -> int:
     import random
 
-    _check_order(args.order)
+    _check_depth("--order", args.order, 1)
     rng = random.Random(args.seed)
     params = tuple(rng.uniform(0.1, 2.0) for _ in range(args.order))
     approx = ContinuedRootApproximant(-1.0, params)

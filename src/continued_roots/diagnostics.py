@@ -169,17 +169,6 @@ class ExtrapolationReport(Record):
 
     __slots__ = ("rows", "target", "observable_prefactor", "match_point")
 
-    @property
-    def any_failed(self) -> bool:
-        return any(row.failed for row in self.rows)
-
-    @property
-    def known_observable(self) -> float | None:
-        """Observable implied by the known amplitude, if one was given."""
-        if self.target.amplitude is None:
-            return None
-        return self.observable_prefactor * self.target.amplitude
-
 
 def sequence_report(
     approximants: Sequence[ContinuedRootApproximant],
@@ -193,7 +182,8 @@ def sequence_report(
     target exponent at ``match_point`` (a match point of 1 leaves B_k as
     is), and the percent error compares the amplitude estimate against the
     target amplitude when that is known.  Approximants that cannot produce
-    a real amplitude yield failed rows rather than aborting the report.
+    a real amplitude, or whose amplitude or estimate leaves the float range,
+    yield failed rows that name the depth rather than aborting the report.
 
     Every row equals the one ``amplitude()`` of its approximant gives, bit
     for bit, but B_k is carried along the sequence: when an approximant has
@@ -225,7 +215,9 @@ def sequence_report(
         chain, power = approx.params, approx.power
         try:
             result = _power_law(chain, power, done, b)
-        except ContinuedRootError as err:
+            done, b = len(chain), result.amplitude
+            estimate = result.estimate(target.exponent, match_point)
+        except (ContinuedRootError, ValueError) as err:
             # The exponent depends only on power and depth, so report it
             # even when the amplitude is not real.
             rows.append(
@@ -239,8 +231,6 @@ def sequence_report(
                 )
             )
             continue
-        done, b = len(chain), result.amplitude
-        estimate = result.estimate(target.exponent, match_point)
         percent = None
         if target.amplitude is not None:
             percent = (estimate - target.amplitude) / target.amplitude * 100.0
@@ -261,8 +251,8 @@ def sequence_report(
     )
 
 
-def depth_table(problem: BenchmarkProblem, kmax: int) -> list[ReportRow]:
-    """Extrapolation rows for depths 2..kmax of a problem.
+def depth_table(problem: BenchmarkProblem, kmax: int) -> ExtrapolationReport:
+    """Extrapolation report for depths 2..kmax of a problem.
 
     One fit at ``kmax`` serves every depth, because the parameters at depth
     k are the first k of any deeper fit.  When that fit fails at order n,
@@ -293,15 +283,11 @@ def depth_table(problem: BenchmarkProblem, kmax: int) -> list[ReportRow]:
         observable_prefactor=problem.observable_prefactor,
         match_point=problem.match_point,
     )
-    failed = [
-        ReportRow(
-            order=k,
-            amplitude=None,
-            exponent=None,
-            observable=None,
-            percent_error=None,
-            error=failure,
-        )
+    failed = tuple(
+        ReportRow(k, None, None, None, None, failure)
         for k in range(max(2, len(params) + 1), kmax + 1)
-    ]
-    return list(report.rows) + failed
+    )
+    return ExtrapolationReport(
+        report.rows + failed, report.target, report.observable_prefactor,
+        report.match_point,
+    )

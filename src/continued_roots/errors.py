@@ -61,12 +61,6 @@ class RealnessError(ContinuedRootError):
     kind = "realness"
 
 
-class NoRealApproximantError(ContinuedRootError):
-    """No member of a sequence has all-non-negative parameters."""
-
-    kind = "no-real-approximant"
-
-
 class UnknownProblemError(ContinuedRootError):
     """Requested benchmark problem does not exist."""
 

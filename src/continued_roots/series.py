@@ -22,11 +22,6 @@ class TruncatedSeries(Record):
             raise ValueError("a truncated series needs at least the constant term")
         _set(self, "coeffs", tuple(map(float, coeffs)))
 
-    @classmethod
-    def from_coefficients(cls, coefficients: Sequence[float]) -> "TruncatedSeries":
-        """Build a series from any sequence of coefficients c0..cK."""
-        return cls(tuple(coefficients))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

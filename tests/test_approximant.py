@@ -18,12 +18,10 @@ from continued_roots import (
     ContinuedRootError,
     DegenerateSeriesError,
     ExponentTarget,
-    NoRealApproximantError,
     RealnessError,
     TruncatedSeries,
     VanishingSensitivityError,
     backend_name,
-    best_real_order,
     exponent_to_power,
     finite_order_exponent,
     fit,
@@ -459,15 +457,20 @@ class TestMatchesFormerKernels:
     # a bracket below 0 under an integer power does not
     @example(-2.0, [1.0, -5.0], 1.0)
     @example(2.0, [-5.0, 1.0], 1.0)
-    # NaN passes through with no raise, and so do x = inf and -0.0
+    # NaN passes through with no raise, and so does -0.0
     @example(0.5, [1.0, math.nan], 1.0)
+    @example(0.5, [1.0, -0.0], 3.0)
+    @example(-1.0, [-0.0], 2.0)
+    # x = inf is rejected before any bracket, where the kernel gave NaN
     @example(0.5, [1.0, 2.0], math.inf)
     @example(-0.5, [-1.0, 0.5], math.inf)
     @example(0.5, [0.0], math.inf)
-    @example(0.5, [1.0, -0.0], 3.0)
-    @example(-1.0, [-0.0], 2.0)
     def test_evaluate_bitwise(self, s, params, x):
         approx = ContinuedRootApproximant(s, tuple(params))
+        if x == math.inf:
+            with pytest.raises(ValueError, match="^argument must be finite, got inf$"):
+                approx.evaluate(x)
+            return
         try:
             value, depth = nested_evaluate(params, s, x, s.is_integer())
         except OverflowError:
@@ -610,6 +613,15 @@ class TestEvaluate:
         approx = ContinuedRootApproximant(0.4, (2.5,))
         with pytest.raises(ValueError, match="non-negative"):
             approx.evaluate(-0.1)
+        with pytest.raises(ValueError, match="^argument must be non-negative, got -inf$"):
+            approx.evaluate(-math.inf)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, x):
+        # the form is identically 1, but the kernel gave NaN for both
+        approx = ContinuedRootApproximant(0.5, (0.0,))
+        with pytest.raises(ValueError, match=f"^argument must be finite, got {x!r}$"):
+            approx.evaluate(x)
 
     def test_complex_breakdown_names_depth(self):
         # the inner bracket 1 - 5x goes negative past x = 0.2
@@ -667,6 +679,14 @@ class TestAmplitude:
         with pytest.raises(RealnessError, match="parameter 2 is nan"):
             ContinuedRootApproximant(0.5, (1.0, math.nan)).amplitude()
 
+    def test_overflowing_factor_names_its_depth(self):
+        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there
+        message = "^the amplitude factor at depth 7 leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(3.0, (2.0,) * 8).amplitude()
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(3.0, (2.0,) * 8).asymptote(1.0)
+
     @given(st.data())
     def test_product_form(self, data):
         s = data.draw(nonzero_powers)
@@ -700,16 +720,14 @@ class TestAsymptote:
 
 class TestAmplitudeEstimate:
     def test_default_match_point_is_plain_amplitude(self):
-        approx = ContinuedRootApproximant(0.4, (2.5, 1.5625))
-        assert approx.amplitude_estimate(2.0 / 3.0) == pytest.approx(
-            approx.amplitude().amplitude, rel=1e-15
-        )
+        law = ContinuedRootApproximant(0.4, (2.5, 1.5625)).amplitude()
+        assert law.estimate(2.0 / 3.0) == law.amplitude
 
     def test_matched_laws_agree_at_match_point(self):
         approx = ContinuedRootApproximant(2.0 / 3.0, (0.375, 0.28125))
         target = 2.0
         point = math.pi**2
-        estimate = approx.amplitude_estimate(target, point)
+        estimate = approx.amplitude().estimate(target, point)
         assert estimate * point**target == pytest.approx(
             approx.asymptote(point), rel=1e-13
         )
@@ -727,36 +745,13 @@ class TestAmplitudeEstimate:
             got = result.estimate(target, 1.0)
             assert struct.pack("<d", got) == struct.pack("<d", amplitude)
 
-    def test_match_point_domain(self):
-        approx = ContinuedRootApproximant(0.4, (2.5,))
-        with pytest.raises(ValueError, match="positive"):
-            approx.amplitude_estimate(1.0, 0.0)
-
-
-class TestBestRealOrder:
-    def test_picks_highest_real(self):
-        approximants = [
-            ContinuedRootApproximant(0.5, (1.0,)),
-            ContinuedRootApproximant(0.5, (1.0, 0.5)),
-            ContinuedRootApproximant(0.5, (1.0, 0.5, -0.1)),
-        ]
-        assert best_real_order(approximants).order == 2
-
-    def test_all_real_picks_last(self):
-        approximants = [
-            ContinuedRootApproximant(0.5, (1.0,)),
-            ContinuedRootApproximant(0.5, (1.0, 0.5)),
-        ]
-        assert best_real_order(approximants).order == 2
-
-    def test_none_real_raises(self):
-        approximants = [ContinuedRootApproximant(0.5, (-1.0,))]
-        with pytest.raises(NoRealApproximantError):
-            best_real_order(approximants)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no approximants"):
-            best_real_order([])
+    def test_overflowing_conversion_names_its_depth(self):
+        # beta_8 = 9840 at s = 3, and 7.0 ** 9839 leaves the float range
+        law = ContinuedRootApproximant(3.0, (1.0,) * 8).amplitude()
+        assert (law.amplitude, law.exponent) == (1.0, 9840.0)
+        message = "^the estimate at depth 8 leaves the float range at match point 7.0$"
+        with pytest.raises(ValueError, match=message):
+            law.estimate(1.0, 7.0)
 
 
 class TestRationalReduction:

@@ -235,18 +235,19 @@ def bits(value):
 
 def assert_rows_alone(approximants, target, observable_prefactor=1.0, match_point=1.0):
     """Each report row, bit for bit, as ``amplitude()`` and
-    ``AmplitudeResult.estimate`` give it for its approximant alone; when
-    those raise some other error, the report raises it too."""
+    ``AmplitudeResult.estimate`` give it for its approximant alone, a failed
+    row where those raise a typed error or a ValueError; when they raise
+    some other error, the report raises it too."""
     expected = []
     try:
         for approx in approximants:
             try:
                 law = approx.amplitude()
-            except ContinuedRootError as err:
+                estimate = law.estimate(target.exponent, match_point)
+            except (ContinuedRootError, ValueError) as err:
                 exponent = finite_order_exponent(approx.power, approx.order)
                 expected.append((approx.order, None, exponent, None, None, str(err)))
                 continue
-            estimate = law.estimate(target.exponent, match_point)
             percent = None
             if target.amplitude is not None:
                 percent = (estimate - target.amplitude) / target.amplitude * 100.0
@@ -289,13 +290,12 @@ class TestSequenceReport:
         )
         assert first.observable == pytest.approx(first.amplitude, rel=1e-15)
         assert first.percent_error == pytest.approx(3.3, abs=0.05)
-        assert not report.any_failed
+        assert not any(row.failed for row in report.rows)
 
     def test_percent_error_absent_without_baseline(self):
         fits, modes = self.fits()
         report = sequence_report(fits, ExponentTarget(modes.target_exponent))
         assert all(row.percent_error is None for row in report.rows)
-        assert report.known_observable is None
 
     def test_prefactor_scales_observable(self):
         fits, modes = self.fits()
@@ -325,7 +325,6 @@ class TestSequenceReport:
         target = ExponentTarget(modes.target_exponent, modes.known_amplitude)
         broken = ContinuedRootApproximant(fits[0].power, (1.0,) * 6 + (-0.5,))
         report = sequence_report(list(fits) + [broken], target)
-        assert report.any_failed
         bad = report.rows[-1]
         assert bad.failed
         assert bad.amplitude is None
@@ -342,7 +341,7 @@ class TestSequenceReport:
         assert_rows_alone(fits, target, observable_prefactor=2.5, match_point=7.0)
         report = sequence_report(fits, target, match_point=7.0)
         for fit_k, row in zip(fits, report.rows):
-            assert row.observable == fit_k.amplitude_estimate(
+            assert row.observable == fit_k.amplitude().estimate(
                 modes.target_exponent, 7.0
             )
 
@@ -455,6 +454,32 @@ class TestSequenceReport:
         assert_rows_alone(chain, target)
         assert not any(row.failed for row in report.rows)
 
+    def test_overflowing_amplitude_fails_its_row_naming_the_depth(self):
+        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there
+        chain = [ContinuedRootApproximant(3.0, (2.0,) * k) for k in (5, 7, 8)]
+        chain.append(ContinuedRootApproximant(3.0, (1.0,) * 9))
+        target = ExponentTarget(1.0)
+        assert_rows_alone(chain, target)
+        rows = sequence_report(chain, target).rows
+        assert [row.failed for row in rows] == [False, True, True, False]
+        for row in rows[1:3]:
+            assert row.error == "the amplitude factor at depth 7 leaves the float range"
+            assert row.exponent == finite_order_exponent(3.0, row.order)
+            assert (row.amplitude, row.observable, row.percent_error) == (None,) * 3
+        assert rows[3].amplitude == 1.0
+
+    def test_overflowing_estimate_fails_its_row_naming_the_depth(self):
+        # beta_8 = 9840 at s = 3, and 7.0 ** 9839 leaves the float range
+        chain = [ContinuedRootApproximant(3.0, (1.0,) * k) for k in (2, 8)]
+        target = ExponentTarget(1.0, 1.0)
+        assert_rows_alone(chain, target, match_point=7.0)
+        first, last = sequence_report(chain, target, match_point=7.0).rows
+        assert not first.failed
+        assert last.error == (
+            "the estimate at depth 8 leaves the float range at match point 7.0"
+        )
+        assert not any(row.failed for row in sequence_report(chain, target).rows)
+
     def test_orders_must_increase(self):
         fits, modes = self.fits()
         target = ExponentTarget(modes.target_exponent)
@@ -473,14 +498,6 @@ class TestSequenceReport:
         with pytest.raises(ValueError, match="positive"):
             sequence_report(fits, target, match_point=-1.0)
 
-    def test_known_observable(self):
-        fits, modes = self.fits()
-        target = ExponentTarget(2.0, 0.0625)
-        report = sequence_report(fits, target, observable_prefactor=math.pi**2 / 8)
-        assert report.known_observable == pytest.approx(
-            math.pi**2 / 128, rel=1e-15
-        )
-
 
 class TestDepthTable:
     def test_rows_match_a_report_of_the_fit_sequence(self):
@@ -495,14 +512,17 @@ class TestDepthTable:
             observable_prefactor=wall.observable_prefactor,
             match_point=wall.match_point,
         )
-        assert depth_table(wall, 13) == list(report.rows)
+        assert depth_table(wall, 13) == report
 
     def test_failure_fails_every_deeper_row_with_its_own_error(self):
         wall = problem("fluid_string")
         power = exponent_to_power(wall.target_exponent)
-        rows = depth_table(wall, 16)
+        report = depth_table(wall, 16)
+        rows = report.rows
         assert [row.order for row in rows] == list(range(2, 17))
-        assert depth_table(wall, 13) == rows[:12]
+        shallow = depth_table(wall, 13)
+        assert shallow.rows == rows[:12]
+        assert shallow._values()[1:] == report._values()[1:]
         for row in rows[12:]:
             with pytest.raises(ContinuedRootError) as excinfo:
                 fit(TruncatedSeries(tuple(wall.coefficients(row.order))), power)
@@ -522,7 +542,7 @@ class TestDepthTable:
             observable_exact=None,
             _generator=lambda order: [1.0, 0.0, 0.5, 0.1][: order + 1],
         )
-        rows = depth_table(flat, 3)
+        rows = depth_table(flat, 3).rows
         assert [row.order for row in rows] == [2, 3]
         assert all("linear coefficient is zero" in row.error for row in rows)
 

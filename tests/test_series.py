@@ -25,18 +25,18 @@ powers = st.floats(
 
 class TestConstruction:
     def test_constant_only(self):
-        series = TruncatedSeries.from_coefficients([1.0])
+        series = TruncatedSeries((1.0,))
         assert series.order == 0
         assert series.coeffs == (1.0,)
 
     def test_short_expansion(self):
-        series = TruncatedSeries.from_coefficients([1.0, 0.25, 0.03125])
+        series = TruncatedSeries((1.0, 0.25, 0.03125))
         assert series.order == 2
         assert series[2] == 0.03125
 
     def test_longer_expansion(self):
         coeffs = [1.0, 1.0, -1 / 8, 1 / 32, -1 / 128, 3 / 2048]
-        series = TruncatedSeries.from_coefficients(coeffs)
+        series = TruncatedSeries(tuple(coeffs))
         assert series.order == 5
         assert list(series) == coeffs
 
