@@ -53,13 +53,21 @@ def finite_order_exponent(power: float, order: int) -> float:
     """Exponent of the order-k form: the geometric sum s + s^2 + ... + s^k.
 
     Evaluated in closed form as (s - s**(k+1)) / (1 - s).  Tends to the
-    infinite-depth exponent s / (1 - s) when |s| < 1.
+    infinite-depth exponent s / (1 - s) when |s| < 1.  Raises ValueError,
+    naming the order, when the exponent leaves the float range (only
+    |s| > 1).
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     if power == 1.0:
         return float(order)
-    return (power - power ** (order + 1)) / (1.0 - power)
+    try:
+        exponent = (power - power ** (order + 1)) / (1.0 - power)
+        if math.isfinite(exponent):
+            return exponent
+    except OverflowError:
+        pass
+    raise ValueError(f"the exponent of order {order} leaves the float range")
 
 
 def _require_positive(
@@ -84,12 +92,15 @@ def _power_law(
     which must be known to be positive.  The rest are checked, and then
     their factors are multiplied in, outermost first, so B_k continues from
     B_done with the operations that build it from 1.  Raises ValueError,
-    naming the depth, when a factor leaves the float range (only |s| > 1).
+    naming the depth, when a factor (only |s| > 1) or the product leaves the
+    float range.
     """
     _require_positive(params, "amplitude", done)
     try:
         for n, a in enumerate(params[done:], done + 1):
             b *= a ** (s**n)
+            if b == math.inf:
+                raise ValueError(f"the amplitude at depth {n} leaves the float range")
     except OverflowError:
         raise ValueError(
             f"the amplitude factor at depth {n} leaves the float range"
@@ -184,9 +195,9 @@ class ContinuedRootApproximant(Record):
         finite or a bracket's power leaves the float range (possible only for
         |s| > 1).
         """
-        if x < 0.0:
-            raise ValueError(f"argument must be non-negative, got {x!r}")
-        if not x < math.inf:
+        if not 0.0 <= x < math.inf:
+            if x < 0.0:
+                raise ValueError(f"argument must be non-negative, got {x!r}")
             raise ValueError(f"argument must be finite, got {x!r}")
         try:
             return nested_evaluate(self.params, self.power, float(x))
@@ -199,7 +210,8 @@ class ContinuedRootApproximant(Record):
         The amplitude is the product of A_n**(s**n) over the depth, and the
         exponent is the finite geometric sum of powers.  All parameters must
         be strictly positive for the fractional powers to be real.  Raises
-        ValueError, naming the depth, when a factor leaves the float range.
+        ValueError, naming the depth, when a factor or the product leaves the
+        float range, and naming the order when the exponent does.
         """
         return _power_law(self.params, self.power)
 

@@ -219,12 +219,16 @@ def sequence_report(
             estimate = result.estimate(target.exponent, match_point)
         except (ContinuedRootError, ValueError) as err:
             # The exponent depends only on power and depth, so report it
-            # even when the amplitude is not real.
+            # even when the amplitude is not real, unless it is not finite.
+            try:
+                exponent = finite_order_exponent(approx.power, approx.order)
+            except ValueError:
+                exponent = None
             rows.append(
                 ReportRow(
                     order=approx.order,
                     amplitude=None,
-                    exponent=finite_order_exponent(approx.power, approx.order),
+                    exponent=exponent,
                     observable=None,
                     percent_error=None,
                     error=str(err),

@@ -1,10 +1,16 @@
 """Exception types raised by fitting, evaluation, and reporting.
 
 Each class carries a stable ``kind`` string used by the CLI when it emits
-machine-readable error objects.
+machine-readable error objects.  ``Exception`` builds the ones with fields
+from their positional arguments, each field a read-only view of ``args``.
 """
 
 from __future__ import annotations
+
+
+def _arg(index: int, doc: str) -> property:
+    """Read-only field that is ``args[index]``."""
+    return property(lambda self: self.args[index], doc=doc)
 
 
 class ContinuedRootError(Exception):
@@ -27,10 +33,8 @@ class VanishingSensitivityError(ContinuedRootError):
     """
 
     kind = "vanishing-sensitivity"
-
-    def __init__(self, order: int, slope: float):
-        super().__init__(order, slope)
-        self.order, self.slope = order, slope
+    order = _arg(0, "Order whose coefficient does not respond.")
+    slope = _arg(1, "The affine slope found at that order.")
 
     def __str__(self) -> str:
         return (
@@ -43,10 +47,8 @@ class ComplexBreakdownError(ContinuedRootError):
     """A bracket base went negative under a non-integer power."""
 
     kind = "complex-breakdown"
-
-    def __init__(self, depth: int, x: float):
-        super().__init__(depth, x)
-        self.depth, self.x = depth, x
+    depth = _arg(0, "1-based depth of the first bracket that is not real.")
+    x = _arg(1, "The argument at which it broke down.")
 
     def __str__(self) -> str:
         return (
@@ -65,10 +67,8 @@ class UnknownProblemError(ContinuedRootError):
     """Requested benchmark problem does not exist."""
 
     kind = "not-found"
-
-    def __init__(self, name: str, valid: tuple[str, ...]):
-        super().__init__(name, valid)
-        self.name, self.valid = name, valid
+    name = _arg(0, "The name asked for.")
+    valid = _arg(1, "Every valid problem name.")
 
     def __str__(self) -> str:
         return f"unknown problem {self.name!r}; valid names: {', '.join(self.valid)}"

@@ -96,10 +96,11 @@ class _Expansion:
     h[m - j]) / m, summed from 0.0 in ascending j.  ``begin`` sums the
     terms j < m once by zipping factors[m], us[i] and hs[i], and takes 0.0
     for a level it adds, whose sum is empty; the j = m term's factor
-    h[0] = 1 is left out.  ``trials`` and ``frontier`` finish the order.
+    h[0] = 1 is left out.  ``trials`` and ``frontier`` finish the order
+    with the j = m factor, which ``last[m]`` holds apart from its row.
     """
 
-    __slots__ = ("s1", "params", "us", "hs", "factors", "partial")
+    __slots__ = ("s1", "params", "us", "hs", "factors", "last", "partial")
 
     def __init__(self, power: float, params: Sequence[float]):
         self.s1 = power + 1.0
@@ -108,6 +109,7 @@ class _Expansion:
         self.hs: list[list[float]] = []
         # factors[m][j - 1] is the factor (s + 1) j - m of the recurrence
         self.factors: list[list[float]] = [[]]
+        self.last: list[float] = [0.0]  # last[m] is factors[m][-1]; m >= 1
 
     def begin(self) -> None:
         """Start the next order, adding innermost levels up to len(params) + 1."""
@@ -115,6 +117,7 @@ class _Expansion:
         factors.append(row := [])
         for j in range(1, n + 1):
             row.append(s1 * j - n)
+        self.last.append(row[-1])
         partial = self.partial = []
         for us, hs, f in zip(self.us, self.hs, reversed(factors)):
             acc = 0.0
@@ -129,31 +132,31 @@ class _Expansion:
     def trials(self) -> tuple[float, float]:
         """Coefficient n of the whole form when the innermost level's new
         bracket coefficient is 0 and when it is 1."""
-        factors, partial, params = self.factors, self.partial, self.params
+        last, partial, params = self.last, self.partial, self.params
         i = len(partial) - 1
-        m = len(factors) - 1 - i
-        f, p = factors[m][-1], partial[i]
+        m = len(last) - 1 - i
+        f, p = last[m], partial[i]
         h0, h1 = (p + f * 0.0) / m, (p + f) / m
         for i in range(i - 1, -1, -1):
             m += 1
-            a, f, p = params[i], factors[m][-1], partial[i]
+            a, f, p = params[i], last[m], partial[i]
             h0, h1 = (p + f * (a * h0)) / m, (p + f * (a * h1)) / m
         return h0, h1
 
     def frontier(self, t: float) -> float:
         """Coefficient n of the whole form when the innermost level's new
         bracket coefficient is t; stores every level's new ones."""
-        factors, partial, params = self.factors, self.partial, self.params
+        last, partial, params = self.last, self.partial, self.params
         us, hs = self.us, self.hs
         i = len(partial) - 1
-        m = len(factors) - 1 - i
-        h = (partial[i] + factors[m][-1] * t) / m
+        m = len(last) - 1 - i
+        h = (partial[i] + last[m] * t) / m
         us[i].append(t)
         hs[i].insert(0, h)
         for i in range(i - 1, -1, -1):
             m += 1
             u = params[i] * h
-            h = (partial[i] + factors[m][-1] * u) / m
+            h = (partial[i] + last[m] * u) / m
             us[i].append(u)
             hs[i].insert(0, h)
         return h

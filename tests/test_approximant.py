@@ -30,7 +30,7 @@ from continued_roots import (
     problem,
     string_coefficients,
 )
-from continued_roots import _backend
+from continued_roots import _backend, approximant
 
 from oracles import (
     exact_expansion_coefficient,
@@ -153,6 +153,15 @@ class TestExponentAlgebra:
     def test_finite_order_domain(self):
         with pytest.raises(ValueError, match="order"):
             finite_order_exponent(0.5, 0)
+
+    @pytest.mark.parametrize("s, k", [(3.0, 646), (-3.0, 646), (1.5, 1748)])
+    def test_finite_order_overflow_names_the_order(self, s, k):
+        # s ** (k + 1) leaves the float range at 3.0, while at 1.5 it stays
+        # finite and the quotient by 1 - s does not
+        assert math.isfinite(finite_order_exponent(s, k - 1))
+        message = f"^the exponent of order {k} leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            finite_order_exponent(s, k)
 
 
 class TestExponentTarget:
@@ -545,6 +554,20 @@ class TestKernelHooks:
         assert calls == [("nested_evaluate", (approx.params, 0.5, 3.0), {})]
         assert backend_name() == "python"
 
+    def test_an_int_argument_reaches_the_kernel_as_a_float(self, monkeypatch):
+        seen = []
+        kernel = approximant.nested_evaluate
+
+        def wrapper(params, s, x):
+            seen.append(x)
+            return kernel(params, s, x)
+
+        monkeypatch.setattr(approximant, "nested_evaluate", wrapper)
+        approx = ContinuedRootApproximant(0.5, (1.0, 2.0))
+        assert approx.evaluate(3) == approx.evaluate(3.0)
+        assert seen == [3.0, 3.0]
+        assert [type(x) for x in seen] == [float, float]
+
 
 class TestFitSequence:
     def test_matches_individual_fits(self):
@@ -595,6 +618,12 @@ class TestEvaluate:
     def test_value_at_zero_is_one(self):
         approx = ContinuedRootApproximant(0.4, (2.5, 1.5625))
         assert approx.evaluate(0.0) == 1.0
+
+    @pytest.mark.parametrize("s", [0.4, -1.0])
+    def test_negative_zero_is_zero(self, s):
+        # -0.0 is not below 0.0, so it is a valid argument
+        approx = ContinuedRootApproximant(s, (2.5, -1.5625))
+        assert approx.evaluate(-0.0) == approx.evaluate(0.0) == 1.0
 
     def test_reciprocal_form_closed_value(self):
         # power -1, params (1, 1): (1 + x/(1 + x))**-1 = (1+x)/(1+2x)
@@ -680,12 +709,39 @@ class TestAmplitude:
             ContinuedRootApproximant(0.5, (1.0, math.nan)).amplitude()
 
     def test_overflowing_factor_names_its_depth(self):
-        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there
+        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there.  The
+        # factors before it are 1, so the product is finite until then.
+        params = (1.0,) * 6 + (2.0,) * 2
         message = "^the amplitude factor at depth 7 leaves the float range$"
         with pytest.raises(ValueError, match=message):
-            ContinuedRootApproximant(3.0, (2.0,) * 8).amplitude()
+            ContinuedRootApproximant(3.0, params).amplitude()
         with pytest.raises(ValueError, match=message):
-            ContinuedRootApproximant(3.0, (2.0,) * 8).asymptote(1.0)
+            ContinuedRootApproximant(3.0, params).asymptote(1.0)
+
+    @pytest.mark.parametrize(
+        "s, params, depth",
+        [
+            # each factor 2.0 ** 3**n is finite through n = 6, and their
+            # product is 2.0 ** 363 at depth 5 and 2.0 ** 1092 at depth 6
+            (3.0, (2.0,) * 6, 6),
+            (3.0, (2.0,) * 8, 6),
+            # |s| < 1 gets there too: 1e270 * 1e243
+            (0.9, (1e300, 1e300), 2),
+        ],
+    )
+    def test_overflowing_product_names_its_depth(self, s, params, depth):
+        assert math.isfinite(
+            ContinuedRootApproximant(s, params[: depth - 1]).amplitude().amplitude
+        )
+        message = f"^the amplitude at depth {depth} leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(s, params).amplitude()
+
+    def test_overflowing_exponent_names_its_order(self):
+        # every factor is 1.0, and 3.0 ** 647 leaves the float range
+        message = "^the exponent of order 646 leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(3.0, (1.0,) * 646).amplitude()
 
     @given(st.data())
     def test_product_form(self, data):

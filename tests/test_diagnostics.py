@@ -245,7 +245,10 @@ def assert_rows_alone(approximants, target, observable_prefactor=1.0, match_poin
                 law = approx.amplitude()
                 estimate = law.estimate(target.exponent, match_point)
             except (ContinuedRootError, ValueError) as err:
-                exponent = finite_order_exponent(approx.power, approx.order)
+                try:
+                    exponent = finite_order_exponent(approx.power, approx.order)
+                except ValueError:
+                    exponent = None
                 expected.append((approx.order, None, exponent, None, None, str(err)))
                 continue
             percent = None
@@ -369,9 +372,13 @@ class TestSequenceReport:
         target = ExponentTarget(1.0, 1.3)
         assert_rows_alone(chain, target, match_point=7.0)
         rows = sequence_report(chain, target).rows
-        assert [row.failed for row in rows] == [False, False] + [not bad > 0.0] * 4
+        assert [row.failed for row in rows] == (
+            [False, False] + [not 0.0 < bad < math.inf] * 4
+        )
         for row in rows[2:]:
-            if row.failed:
+            if bad == math.inf:  # positive, but then B_3 is not finite
+                assert row.error == "the amplitude at depth 3 leaves the float range"
+            elif row.failed:
                 assert row.error.endswith(f"parameter 3 is {bad!r}")
 
     def test_each_failed_row_names_its_own_parameter_value(self):
@@ -455,8 +462,10 @@ class TestSequenceReport:
         assert not any(row.failed for row in report.rows)
 
     def test_overflowing_amplitude_fails_its_row_naming_the_depth(self):
-        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there
-        chain = [ContinuedRootApproximant(3.0, (2.0,) * k) for k in (5, 7, 8)]
+        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there.  The
+        # factors before it are 1, so the product is finite until then.
+        params = (1.0,) * 6 + (2.0,) * 2
+        chain = [ContinuedRootApproximant(3.0, params[:k]) for k in (5, 7, 8)]
         chain.append(ContinuedRootApproximant(3.0, (1.0,) * 9))
         target = ExponentTarget(1.0)
         assert_rows_alone(chain, target)
@@ -467,6 +476,35 @@ class TestSequenceReport:
             assert row.exponent == finite_order_exponent(3.0, row.order)
             assert (row.amplitude, row.observable, row.percent_error) == (None,) * 3
         assert rows[3].amplitude == 1.0
+
+    def test_overflowing_product_fails_its_row_and_the_deeper_ones(self):
+        # each factor 2.0 ** 3**n is finite through n = 6, and their product
+        # is 2.0 ** 363 at depth 5 and 2.0 ** 1092 at depth 6
+        chain = [ContinuedRootApproximant(3.0, (2.0,) * k) for k in (5, 6, 8)]
+        target = ExponentTarget(1.0)
+        assert_rows_alone(chain, target)
+        rows = sequence_report(chain, target).rows
+        assert rows[0].amplitude == 2.0**363
+        for row in rows[1:]:
+            assert row.error == "the amplitude at depth 6 leaves the float range"
+            assert row.exponent == finite_order_exponent(3.0, row.order)
+            assert (row.amplitude, row.observable, row.percent_error) == (None,) * 3
+
+    def test_overflowing_exponent_fails_its_row_with_no_exponent(self):
+        # 3.0 ** 647 leaves the float range: as the exponent's s**(k+1) at
+        # depth 646, and as the factor 1.0 ** 3**647 at depth 700
+        chain = [ContinuedRootApproximant(3.0, (1.0,) * k) for k in (645, 646, 700)]
+        target = ExponentTarget(1.0)
+        assert_rows_alone(chain, target)
+        rows = sequence_report(chain, target).rows
+        assert rows[0].amplitude == 1.0
+        assert rows[0].exponent == finite_order_exponent(3.0, 645)
+        assert [row.error for row in rows[1:]] == [
+            "the exponent of order 646 leaves the float range",
+            "the amplitude factor at depth 647 leaves the float range",
+        ]
+        for row in rows[1:]:
+            assert (row.amplitude, row.exponent, row.observable) == (None,) * 3
 
     def test_overflowing_estimate_fails_its_row_naming_the_depth(self):
         # beta_8 = 9840 at s = 3, and 7.0 ** 9839 leaves the float range

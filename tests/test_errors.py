@@ -52,3 +52,14 @@ def test_copies_and_pickles_keep_type_kind_fields_and_message(
     # the repr names the fields in order, as the constructor takes them
     args = ", ".join(repr(value) for value in fields.values())
     assert repr(got) == repr(err) == f"{type(err).__name__}({args})"
+
+
+@pytest.mark.parametrize("err, fields, message", CASES, ids=IDS)
+def test_fields_are_read_only_views_of_args(err, fields, message):
+    # Exception builds each error from its positional args; no __init__
+    assert "__init__" not in vars(type(err))
+    assert tuple(getattr(err, name) for name in fields) == err.args
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(err, name, None)
+    assert tuple(getattr(err, name) for name in fields) == err.args
