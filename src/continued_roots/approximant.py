@@ -32,13 +32,13 @@ SLOPE_TOLERANCE = 1e-13
 def exponent_to_power(exponent: float) -> float:
     """Nesting power s that realises a large-argument exponent beta.
 
-    Defined as beta / (1 + beta); requires beta > -1/2 so that |s| < 1 and
-    the infinite-depth construction converges.
+    Defined as beta / (1 + beta); requires a finite beta > -1/2 so that
+    |s| < 1 and the infinite-depth construction converges.
     """
-    if not exponent > -0.5:
-        raise ValueError(
-            f"target exponent must exceed -1/2, got {exponent!r}"
-        )
+    if not -0.5 < exponent < math.inf:
+        if -math.inf < exponent < math.inf:
+            raise ValueError(f"target exponent must exceed -1/2, got {exponent!r}")
+        raise ValueError(f"target exponent must be finite, got {exponent!r}")
     return exponent / (1.0 + exponent)
 
 
@@ -113,15 +113,17 @@ class ExponentTarget(Record):
 
     ``exponent`` is the true power of growth; ``amplitude`` is the true
     prefactor of x**exponent when it is known, used as the error baseline,
-    so it must be non-zero.
+    so it must be finite and non-zero.
     """
 
     __slots__ = ("exponent", "amplitude")
 
     def __init__(self, exponent: float, amplitude: float | None = None):
-        exponent_to_power(exponent)  # raises unless exponent > -1/2
+        exponent_to_power(exponent)  # raises unless finite and > -1/2
         if amplitude == 0.0:
             raise ValueError(f"known amplitude must be non-zero, got {amplitude!r}")
+        if amplitude is not None and not -math.inf < amplitude < math.inf:
+            raise ValueError(f"known amplitude must be finite, got {amplitude!r}")
         _set(self, "exponent", exponent)
         _set(self, "amplitude", amplitude)
 
@@ -170,6 +172,13 @@ class ContinuedRootApproximant(Record):
     def order(self) -> int:
         """Nesting depth k."""
         return len(self.params)
+
+    def _prefix(self, k: int) -> "ContinuedRootApproximant":
+        """The form of A1..Ak at the same power, without coercing again."""
+        prefix = object.__new__(self.__class__)
+        _set(prefix, "power", self.power)
+        _set(prefix, "params", self.params[:k])
+        return prefix
 
     @property
     def is_real_valued(self) -> bool:
@@ -289,10 +298,12 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     caller can stop early or keep the prefix fitted before a failure; the
     error for order n is raised when the n-th value is requested.  Arguments
     and errors are those of ``fit``.  Order n adds level A_n to the
-    expansion that ``expand`` runs, reads the form's coefficient n at A_n = 0
-    and 1 in one pass, and stores the level at the solved A_n.  Only each
-    level's new coefficient depends on A_n, so both passes share the sums
-    that do not: order n costs about n**2 / 2 multiply-adds, the fit O(K**3).
+    expansion that ``expand`` runs and walks its levels twice: the first
+    walk forms each level's sums and reads the form's coefficient n at
+    A_n = 0 and 1, the second stores every level at the solved A_n, which
+    the last order skips.  Only each level's new coefficient depends on A_n,
+    so both trials share the sums that do not: order n costs about n**2 / 2
+    multiply-adds, the fit O(K**3).
     """
     coeffs = series.coeffs
     if coeffs[0] != 1.0:
@@ -315,15 +326,16 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
     params: list[float] = []
     expansion = _Expansion(power, params)
-    for n in range(1, series.order + 1):
-        expansion.begin()
-        at_zero, at_one = expansion.trials()
+    order = series.order
+    for n in range(1, order + 1):
+        at_zero, at_one = expansion.begin()
         slope = at_one - at_zero
         if abs(slope) < slope_floor:
             raise VanishingSensitivityError(n, slope)
         a = (coeffs[n] - at_zero) / slope
-        expansion.frontier(a)
-        params.append(a)
+        if n < order:  # no later order reads the last one's levels
+            expansion.frontier(a)
+            params.append(a)
         yield a
 
 
@@ -334,8 +346,9 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     coefficient of the nested form is an affine function of A_n, read off at
     the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
     The resulting depth equals the series order.  ``fit_parameters`` runs
-    the solve incrementally; the trial values, the slope and every
-    parameter are bit for bit those of two full expansions per order.
+    the solve incrementally, in two walks over the levels per order; the
+    trial values, the slope and every parameter are bit for bit those of
+    two full expansions per order.
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.
@@ -370,6 +383,5 @@ def fit_sequence(
             raise ValueError(f"depth must be at least 1, got {k}")
     if not orders:
         return []
-    deepest = max(orders)
-    params = fit(TruncatedSeries(series.coeffs[: deepest + 1]), power).params
-    return [ContinuedRootApproximant(power, params[:k]) for k in orders]
+    deepest = fit(TruncatedSeries(series.coeffs[: max(orders) + 1]), power)
+    return [deepest._prefix(k) for k in orders]

@@ -224,27 +224,15 @@ def sequence_report(
                 exponent = finite_order_exponent(approx.power, approx.order)
             except ValueError:
                 exponent = None
-            rows.append(
-                ReportRow(
-                    order=approx.order,
-                    amplitude=None,
-                    exponent=exponent,
-                    observable=None,
-                    percent_error=None,
-                    error=str(err),
-                )
-            )
+            rows.append(ReportRow(approx.order, None, exponent, None, None, str(err)))
             continue
         percent = None
         if target.amplitude is not None:
             percent = (estimate - target.amplitude) / target.amplitude * 100.0
         rows.append(
             ReportRow(
-                order=approx.order,
-                amplitude=result.amplitude,
-                exponent=result.exponent,
-                observable=observable_prefactor * estimate,
-                percent_error=percent,
+                approx.order, result.amplitude, result.exponent,
+                observable_prefactor * estimate, percent,
             )
         )
     return ExtrapolationReport(

@@ -91,13 +91,14 @@ class _Expansion:
     constant 1 left implicit.  ``params`` holds A_i of every level but the
     innermost, whose bracket coefficients the caller supplies;
     ``TruncatedSeries.power`` is the case of one level.  Order n appends
-    index m = n - i at every level, innermost first, by the recurrence of
-    u h' = s u' h: h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j]
-    h[m - j]) / m, summed from 0.0 in ascending j.  ``begin`` sums the
-    terms j < m once by zipping factors[m], us[i] and hs[i], and takes 0.0
-    for a level it adds, whose sum is empty; the j = m term's factor
-    h[0] = 1 is left out.  ``trials`` and ``frontier`` finish the order
-    with the j = m factor, which ``last[m]`` holds apart from its row.
+    index m = n - i at every level by the recurrence of u h' = s u' h:
+    h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed
+    from 0.0 in ascending j.  Each order walks the levels twice, innermost
+    first.  ``begin`` sums each level's terms j < m, the j = m term's
+    factor h[0] = 1 left out, and finishes the level at the innermost new
+    bracket coefficient 0 and 1, returning both trials of the whole form.
+    ``frontier`` finishes every level at the chosen coefficient and stores
+    it, with the j = m factor that ``last[m]`` holds apart from its row.
     """
 
     __slots__ = ("s1", "params", "us", "hs", "factors", "last", "partial")
@@ -111,37 +112,37 @@ class _Expansion:
         self.factors: list[list[float]] = [[]]
         self.last: list[float] = [0.0]  # last[m] is factors[m][-1]; m >= 1
 
-    def begin(self) -> None:
-        """Start the next order, adding innermost levels up to len(params) + 1."""
+    def begin(self) -> tuple[float, float]:
+        """First walk of the next order, adding innermost levels up to
+        len(params) + 1: forms each level's sums and returns coefficient n
+        of the whole form at the innermost new bracket coefficient 0 and 1.
+        """
         factors, s1, n = self.factors, self.s1, len(self.factors)
-        factors.append(row := [])
-        for j in range(1, n + 1):
-            row.append(s1 * j - n)
+        factors.append(row := [s1 * j - n for j in range(1, n + 1)])
         self.last.append(row[-1])
-        partial = self.partial = []
-        for us, hs, f in zip(self.us, self.hs, reversed(factors)):
+        us, hs, params = self.us, self.hs, self.params
+        if len(us) <= len(params):
+            us.append([])
+            hs.append([])
+        i = len(us) - 1
+        partial = self.partial = [0.0] * len(us)
+        # the innermost level's incoming terms are the trials themselves;
+        # f * 1.0 == f, so its value at 1 is (acc + f) / m exactly
+        t0, t1, m = 0.0, 1.0, n - i
+        while True:
+            f, u, h = factors[m], us[i], hs[i]
             acc = 0.0
-            for fj, u, h in zip(f, us, hs):
-                acc += fj * u * h
-            partial.append(acc)
-        if len(self.us) <= len(self.params):
-            self.us.append([])
-            self.hs.append([])
-            partial.append(0.0)
-
-    def trials(self) -> tuple[float, float]:
-        """Coefficient n of the whole form when the innermost level's new
-        bracket coefficient is 0 and when it is 1."""
-        last, partial, params = self.last, self.partial, self.params
-        i = len(partial) - 1
-        m = len(last) - 1 - i
-        f, p = last[m], partial[i]
-        h0, h1 = (p + f * 0.0) / m, (p + f) / m
-        for i in range(i - 1, -1, -1):
+            for j in range(m - 1):
+                acc += f[j] * u[j] * h[j]
+            partial[i] = acc
+            fm = f[-1]
+            h0, h1 = (acc + fm * t0) / m, (acc + fm * t1) / m
+            if not i:
+                return h0, h1
+            i -= 1
             m += 1
-            a, f, p = params[i], last[m], partial[i]
-            h0, h1 = (p + f * (a * h0)) / m, (p + f * (a * h1)) / m
-        return h0, h1
+            a = params[i]
+            t0, t1 = a * h0, a * h1
 
     def frontier(self, t: float) -> float:
         """Coefficient n of the whole form when the innermost level's new

@@ -1,6 +1,7 @@
 """Fitting, evaluation, and asymptotics of the nested-root form."""
 
 import math
+import pickle
 import random
 import re
 import struct
@@ -103,6 +104,13 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError):
             exponent_to_power(-3.0)
 
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    def test_exponent_to_power_rejects_non_finite(self, exponent):
+        # inf / (1 + inf) would be NaN rather than an error
+        message = f"^target exponent must be finite, got {exponent!r}$"
+        with pytest.raises(ValueError, match=message):
+            exponent_to_power(exponent)
+
     def test_power_to_exponent_examples(self):
         assert power_to_exponent(0.5) == pytest.approx(1.0, abs=1e-15)
         assert power_to_exponent(0.0) == 0.0
@@ -182,6 +190,19 @@ class TestExponentTarget:
         # it is the baseline of the percent error
         with pytest.raises(ValueError, match="known amplitude must be non-zero"):
             ExponentTarget(1.0, amplitude)
+
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, exponent):
+        message = f"^target exponent must be finite, got {exponent!r}$"
+        with pytest.raises(ValueError, match=message):
+            ExponentTarget(exponent, 1.0)
+
+    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        # a non-finite baseline would make every percent error NaN
+        message = f"^known amplitude must be finite, got {amplitude!r}$"
+        with pytest.raises(ValueError, match=message):
+            ExponentTarget(2.0, amplitude)
 
 
 class TestConstruction:
@@ -603,6 +624,23 @@ class TestFitSequence:
             assert [a.hex() for a in fitted.params] == [
                 a.hex() for a in want.params
             ]
+
+    @pytest.mark.parametrize("power", [exponent_to_power(2.0), -1])
+    def test_prefixes_equal_constructed_forms(self, power):
+        series = TruncatedSeries((1.0, 1.0, -0.125, 0.03125, 0.5))
+        orders = [3, 1, 4, 2]
+        deepest = fit(series, power)
+        for k, prefix in zip(orders, fit_sequence(series, power, orders)):
+            built = ContinuedRootApproximant(power, deepest.params[:k])
+            assert prefix == built
+            assert hash(prefix) == hash(built)
+            assert repr(prefix) == repr(built)
+            assert pickle.loads(pickle.dumps(prefix)) == built
+            assert type(prefix.power) is float
+            assert type(prefix.params) is tuple
+            assert [type(a) for a in prefix.params] == [float] * k
+            with pytest.raises(AttributeError, match="cannot assign"):
+                prefix.params = ()
 
     def test_failure_only_past_the_deepest_order(self):
         prob = problem("fluid_string")
