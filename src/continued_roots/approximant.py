@@ -265,12 +265,15 @@ def nested_expansion(params: Sequence[float], s: float, order: int) -> list[floa
 
     Past the depth no level is added and the innermost bracket contributes 0.
     """
+    if not order:
+        return [1.0]
     expansion = _Expansion(s, params[:-1])
-    coeffs = [1.0]
-    for n in range(1, order + 1):
-        expansion.begin()
-        coeffs.append(expansion.frontier(params[n - 1] if n <= len(params) else 0.0))
-    return coeffs
+    t = 0.0  # order 1 stores nothing
+    for n in range(order):  # order n + 1 stores order n's coefficient t
+        expansion.step(t)
+        t = params[n] if n < len(params) else 0.0
+    expansion.frontier(t)
+    return [1.0, *reversed(expansion.hs[0])]
 
 
 def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
@@ -298,11 +301,11 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     caller can stop early or keep the prefix fitted before a failure; the
     error for order n is raised when the n-th value is requested.  Arguments
     and errors are those of ``fit``.  Order n adds level A_n to the
-    expansion that ``expand`` runs and walks its levels twice: the first
-    walk forms each level's sums and reads the form's coefficient n at
-    A_n = 0 and 1, the second stores every level at the solved A_n, which
-    the last order skips.  Only each level's new coefficient depends on A_n,
-    so both trials share the sums that do not: order n costs about n**2 / 2
+    expansion that ``expand`` runs and walks its levels once: at each level
+    it stores order n - 1 at the solved A_(n-1), then forms order n's sums
+    and reads the form's coefficient n at A_n = 0 and 1.  The last order is
+    never stored.  Only each level's new coefficient depends on A_n, so both
+    trials share the sums that do not: order n costs about n**2 / 2
     multiply-adds, the fit O(K**3).
     """
     coeffs = series.coeffs
@@ -326,16 +329,14 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
     slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
     params: list[float] = []
     expansion = _Expansion(power, params)
-    order = series.order
-    for n in range(1, order + 1):
-        at_zero, at_one = expansion.begin()
+    a = 0.0  # order 1 stores nothing
+    for n in range(1, series.order + 1):
+        at_zero, at_one = expansion.step(a)
         slope = at_one - at_zero
         if abs(slope) < slope_floor:
             raise VanishingSensitivityError(n, slope)
         a = (coeffs[n] - at_zero) / slope
-        if n < order:  # no later order reads the last one's levels
-            expansion.frontier(a)
-            params.append(a)
+        params.append(a)
         yield a
 
 
@@ -346,7 +347,7 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     coefficient of the nested form is an affine function of A_n, read off at
     the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
     The resulting depth equals the series order.  ``fit_parameters`` runs
-    the solve incrementally, in two walks over the levels per order; the
+    the solve incrementally, in one walk over the levels per order; the
     trial values, the slope and every parameter are bit for bit those of
     two full expansions per order.
 

@@ -7,6 +7,7 @@ simply unknown rather than zero.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 
 from ._record import Record, _set
@@ -61,18 +62,25 @@ class TruncatedSeries(Record):
         """Raise the series to a real power.
 
         The constant term must be exactly 1, which makes the result
-        well-defined termwise for any real exponent.  The power recurrence
-        of ``_Expansion``, with the series as its one bracket, takes O(K^2).
+        well-defined termwise for any finite real exponent.  The power
+        recurrence of ``_Expansion``, with the series as its one bracket,
+        takes O(K^2).
         """
         u = self.coeffs
         if u[0] != 1.0:
             raise ValueError(f"series power requires constant term 1, got {u[0]!r}")
-        expansion = _Expansion(float(exponent), ())
-        h = [1.0]
-        for n in range(1, len(u)):
-            expansion.begin()
-            h.append(expansion.frontier(u[n]))
-        return TruncatedSeries(tuple(h))
+        s = float(exponent)
+        if not math.isfinite(s):
+            raise ValueError(
+                f"series power requires a finite exponent, got {exponent!r}"
+            )
+        if len(u) == 1:
+            return self
+        expansion = _Expansion(s, ())
+        for c in u[:-1]:  # order n stores order n - 1's coefficient
+            expansion.step(c)
+        expansion.frontier(u[-1])
+        return TruncatedSeries((1.0, *reversed(expansion.hs[0])))
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""
@@ -93,12 +101,13 @@ class _Expansion:
     ``TruncatedSeries.power`` is the case of one level.  Order n appends
     index m = n - i at every level by the recurrence of u h' = s u' h:
     h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed
-    from 0.0 in ascending j.  Each order walks the levels twice, innermost
-    first.  ``begin`` sums each level's terms j < m, the j = m term's
-    factor h[0] = 1 left out, and finishes the level at the innermost new
-    bracket coefficient 0 and 1, returning both trials of the whole form.
-    ``frontier`` finishes every level at the chosen coefficient and stores
-    it, with the j = m factor that ``last[m]`` holds apart from its row.
+    from 0.0 in ascending j.  ``partial[i]`` keeps the terms j < m, the
+    j = m term's factor h[0] = 1 left out, so only each level's new bracket
+    coefficient is left to choose.  Each order is one walk over the levels,
+    innermost first: ``step`` stores the previous order at the coefficient
+    the caller chose, then forms the order's sums and finishes each level
+    at the innermost new bracket coefficient 0 and 1, returning both trials
+    of the whole form.  ``frontier`` stores the last order.
     """
 
     __slots__ = ("s1", "params", "us", "hs", "factors", "last", "partial")
@@ -111,28 +120,42 @@ class _Expansion:
         # factors[m][j - 1] is the factor (s + 1) j - m of the recurrence
         self.factors: list[list[float]] = [[]]
         self.last: list[float] = [0.0]  # last[m] is factors[m][-1]; m >= 1
+        self.partial: list[float] = []  # one per level of the latest order
 
-    def begin(self) -> tuple[float, float]:
-        """First walk of the next order, adding innermost levels up to
-        len(params) + 1: forms each level's sums and returns coefficient n
-        of the whole form at the innermost new bracket coefficient 0 and 1.
+    def step(self, t: float) -> tuple[float, float]:
+        """Store the previous order with innermost new bracket coefficient
+        t (ignored at order 1), add the innermost level up to
+        len(params) + 1, and return coefficient n of the whole form at the
+        innermost new bracket coefficient 0 and 1.
         """
-        factors, s1, n = self.factors, self.s1, len(self.factors)
-        factors.append(row := [s1 * j - n for j in range(1, n + 1)])
-        self.last.append(row[-1])
-        us, hs, params = self.us, self.hs, self.params
-        if len(us) <= len(params):
+        factors, last, n = self.factors, self.last, len(self.factors)
+        factors.append(row := [self.s1 * j - n for j in range(1, n + 1)])
+        last.append(row[-1])
+        us, hs, params, partial = self.us, self.hs, self.params, self.partial
+        i = len(partial) - 1  # the previous order's innermost level
+        t0, t1 = 0.0, 1.0
+        if i < len(params):
+            # a new innermost level at index 1: its sum is empty, and
+            # (0.0 + f * t) / 1 is 0.0 + f * t exactly
             us.append([])
             hs.append([])
-        i = len(us) - 1
-        partial = self.partial = [0.0] * len(us)
-        # the innermost level's incoming terms are the trials themselves;
-        # f * 1.0 == f, so its value at 1 is (acc + f) / m exactly
-        t0, t1, m = 0.0, 1.0, n - i
+            partial.append(0.0)
+            fm = last[1]
+            h0, h1 = 0.0 + fm * t0, 0.0 + fm * t1
+            if i < 0:
+                return h0, h1
+            a = params[i]
+            t0, t1 = a * h0, a * h1
+        m = n - i
         while True:
-            f, u, h = factors[m], us[i], hs[i]
+            u, h = us[i], hs[i]
+            k = m - 1
+            stored = (partial[i] + last[k] * t) / k
+            u.append(t)
+            h.insert(0, stored)
+            f = factors[m]
             acc = 0.0
-            for j in range(m - 1):
+            for j in range(k):
                 acc += f[j] * u[j] * h[j]
             partial[i] = acc
             fm = f[-1]
@@ -142,11 +165,11 @@ class _Expansion:
             i -= 1
             m += 1
             a = params[i]
-            t0, t1 = a * h0, a * h1
+            t, t0, t1 = a * stored, a * h0, a * h1
 
     def frontier(self, t: float) -> float:
-        """Coefficient n of the whole form when the innermost level's new
-        bracket coefficient is t; stores every level's new ones."""
+        """Store the latest order with innermost new bracket coefficient t
+        and return its coefficient of the whole form."""
         last, partial, params = self.last, self.partial, self.params
         us, hs = self.us, self.hs
         i = len(partial) - 1

@@ -466,6 +466,10 @@ class TestMatchesFormerKernels:
     @example(-1.0, [0.0], 0)
     @example(-1.0, [1.0, 0.0], 0)
     @example(-1.0, [0.0, 1.0], 2)
+    # depth 1: at order 1 the one step stores nothing, and at order 3 the
+    # orders past the depth store an innermost coefficient 0
+    @example(0.5, [0.75], 0)
+    @example(-0.5, [1.25], 2)
     def test_expand_bitwise(self, s, params, offset):
         order = max(0, len(params) + offset)
         got = ContinuedRootApproximant(s, tuple(params)).expand(order)

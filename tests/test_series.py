@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from continued_roots import TruncatedSeries
@@ -126,6 +126,13 @@ class TestPower:
         with pytest.raises(ValueError, match="constant term 1"):
             TruncatedSeries((2.0, 1.0)).power(0.5)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, exponent):
+        # the recurrence would return NaN or infinite coefficients
+        message = f"^series power requires a finite exponent, got {exponent!r}$"
+        with pytest.raises(ValueError, match=message):
+            TruncatedSeries((1.0, 0.5, -0.25)).power(exponent)
+
     @given(unit_series, powers)
     def test_power_times_inverse_power_is_unit(self, series, s):
         product = series.power(s) * series.power(-s)
@@ -160,6 +167,10 @@ class TestPower:
         st.lists(st.floats(min_value=-3.0, max_value=3.0), max_size=30),
         st.floats(min_value=-4.0, max_value=4.0),
     )
+    # the constant alone, with no order to walk, and one order, whose step
+    # stores nothing and whose coefficient comes from the last-order store
+    @example([], 0.5)
+    @example([0.75], -1.5)
     def test_power_matches_former_kernel_bitwise(self, tail, s):
         series = TruncatedSeries((1.0, *tail))
         assert [c.hex() for c in series.power(s).coeffs] == [
