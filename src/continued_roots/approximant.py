@@ -22,7 +22,7 @@ from .errors import (
     RealnessError,
     VanishingSensitivityError,
 )
-from .series import TruncatedSeries, _Expansion
+from .series import TruncatedSeries, _Expansion, _finite_float
 
 # Affine slopes below this (relative to the linear coefficient) are treated
 # as exactly zero when solving for a parameter.
@@ -153,11 +153,22 @@ class AmplitudeResult(Record):
             ) from None
 
 
-class ContinuedRootApproximant(Record):
+class _Expanded:
+    """Private base of ContinuedRootApproximant: a slot, outside the record's
+    fields, for the Taylor coefficients c0..cK that a fit at depth K
+    computed, which its prefixes share.  ``fit`` and ``_prefix`` set it,
+    once; on a form built any other way, a copy or an unpickled form
+    included, it stays unset."""
+
+    __slots__ = ("_taylor",)
+
+
+class ContinuedRootApproximant(Record, _Expanded):
     """A fitted (or hand-built) nested-root form of fixed depth.
 
     ``params`` holds A1..Ak from the outermost bracket inward.  The form is
     real-valued on x >= 0 exactly when every parameter is non-negative.
+    The power must be finite.
     """
 
     __slots__ = ("power", "params")
@@ -166,7 +177,7 @@ class ContinuedRootApproximant(Record):
         if len(params) < 1:
             raise ValueError("an approximant needs at least one parameter")
         _set(self, "params", tuple(map(float, params)))
-        _set(self, "power", float(power))
+        _set(self, "power", _finite_float(power, "nesting power must be finite"))
 
     @property
     def order(self) -> int:
@@ -174,10 +185,12 @@ class ContinuedRootApproximant(Record):
         return len(self.params)
 
     def _prefix(self, k: int) -> "ContinuedRootApproximant":
-        """The form of A1..Ak at the same power, without coercing again."""
+        """The fitted form of A1..Ak at the same power.  It shares this
+        fitted form's expansion, which through order k is its own."""
         prefix = object.__new__(self.__class__)
         _set(prefix, "power", self.power)
         _set(prefix, "params", self.params[:k])
+        _set(prefix, "_taylor", self._taylor)
         return prefix
 
     @property
@@ -189,10 +202,16 @@ class ContinuedRootApproximant(Record):
         """Small-argument Taylor expansion through the given order.
 
         The expansion is exact in the formal sense: coefficients beyond the
-        nesting depth are the ones induced by the closed form, not zero.
+        nesting depth are the ones induced by the closed form, not zero.  A
+        fitted form returns the coefficients its fit stored, through its
+        depth; they are bit for bit those of ``nested_expansion``, which
+        every other order and form runs.
         """
         if order < 0:
             raise ValueError(f"expansion order must be non-negative, got {order}")
+        taylor = getattr(self, "_taylor", None)
+        if taylor and order <= len(self.params):
+            return TruncatedSeries(taylor[: order + 1])
         return TruncatedSeries(tuple(nested_expansion(self.params, self.power, order)))
 
     def evaluate(self, x: float) -> float:
@@ -272,8 +291,7 @@ def nested_expansion(params: Sequence[float], s: float, order: int) -> list[floa
     for n in range(order):  # order n + 1 stores order n's coefficient t
         expansion.step(t)
         t = params[n] if n < len(params) else 0.0
-    expansion.frontier(t)
-    return [1.0, *reversed(expansion.hs[0])]
+    return [1.0, *reversed(expansion.hs[0]), expansion.frontier(t)]
 
 
 def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
@@ -294,20 +312,8 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
     return h
 
 
-def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
-    """Yield the fitted parameters A1, A2, ... of ``series``, one per order.
-
-    The n-th value is the one ``fit`` returns at any depth >= n, so a
-    caller can stop early or keep the prefix fitted before a failure; the
-    error for order n is raised when the n-th value is requested.  Arguments
-    and errors are those of ``fit``.  Order n adds level A_n to the
-    expansion that ``expand`` runs and walks its levels once: at each level
-    it stores order n - 1 at the solved A_(n-1), then forms order n's sums
-    and reads the form's coefficient n at A_n = 0 and 1.  The last order is
-    never stored.  Only each level's new coefficient depends on A_n, so both
-    trials share the sums that do not: order n costs about n**2 / 2
-    multiply-adds, the fit O(K**3).
-    """
+def _fit_power(series: TruncatedSeries, power: float) -> float:
+    """Check the arguments of ``fit`` and return the power as a float."""
     coeffs = series.coeffs
     if coeffs[0] != 1.0:
         raise ValueError(
@@ -317,8 +323,7 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
         raise ValueError("fit needs at least the linear coefficient")
     if power == 0.0:
         raise ValueError("nesting power must be non-zero")
-    if not math.isfinite(power):
-        raise ValueError(f"nesting power must be finite, got {power!r}")
+    s = _finite_float(power, "nesting power must be finite")
     for n, c in enumerate(coeffs):
         if not math.isfinite(c):
             raise ValueError(f"fit requires finite coefficients; c{n} is {c!r}")
@@ -326,11 +331,16 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
         raise DegenerateSeriesError(
             "linear coefficient is zero; the parameter chain has no anchor"
         )
+    return s
+
+
+def _solve(coeffs: Sequence[float], expansion: _Expansion) -> Iterator[float]:
+    """Append A1, A2, ... to ``expansion.params`` and yield each, one per
+    order of ``coeffs``, leaving the last order unstored."""
     slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
-    params: list[float] = []
-    expansion = _Expansion(power, params)
+    params = expansion.params
     a = 0.0  # order 1 stores nothing
-    for n in range(1, series.order + 1):
+    for n in range(1, len(coeffs)):
         at_zero, at_one = expansion.step(a)
         slope = at_one - at_zero
         if abs(slope) < slope_floor:
@@ -340,16 +350,35 @@ def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
         yield a
 
 
+def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
+    """Yield the fitted parameters A1, A2, ... of ``series``, one per order.
+
+    The n-th value is the one ``fit`` returns at any depth >= n, so a
+    caller can stop early or keep the prefix fitted before a failure; the
+    error for order n is raised when the n-th value is requested.  Arguments
+    and errors are those of ``fit``.  Order n adds level A_n to the
+    expansion that ``expand`` runs and walks its levels once: at each level
+    it stores order n - 1 at the solved A_(n-1), then forms order n's sums
+    and reads the form's coefficient n at A_n = 0 and 1.  Unlike ``fit``,
+    this never reads the form's last coefficient.  Only each level's new
+    coefficient depends on A_n, so both trials share the sums that do not:
+    order n costs about n**2 / 2 multiply-adds, the fit O(K**3).
+    """
+    yield from _solve(series.coeffs, _Expansion(_fit_power(series, power), []))
+
+
 def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     """Fit a nested-root form whose expansion matches the series exactly.
 
     Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
     coefficient of the nested form is an affine function of A_n, read off at
     the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
-    The resulting depth equals the series order.  ``fit_parameters`` runs
-    the solve incrementally, in one walk over the levels per order; the
-    trial values, the slope and every parameter are bit for bit those of
-    two full expansions per order.
+    The resulting depth equals the series order.  The solve is that of
+    ``fit_parameters``, in one walk over the levels per order; the trial
+    values, the slope and every parameter are bit for bit those of two full
+    expansions per order.  One more walk, O(K), reads the form's coefficient
+    K, and the form keeps the expansion c0..cK so built: its ``expand``
+    through order K reads it instead of walking again, with the same bits.
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.
@@ -363,7 +392,16 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
         ValueError: c0 != 1, K < 1, a coefficient is not finite, or power
             is 0 or not finite.
     """
-    return ContinuedRootApproximant(power, tuple(fit_parameters(series, power)))
+    s = _fit_power(series, power)
+    expansion = _Expansion(s, [])
+    params = tuple(_solve(series.coeffs, expansion))
+    taylor = (1.0, *reversed(expansion.hs[0]), expansion.frontier(params[-1]))
+    # the fields are floats already, so the constructor's coercion is skipped
+    fitted = object.__new__(ContinuedRootApproximant)
+    _set(fitted, "power", s)
+    _set(fitted, "params", params)
+    _set(fitted, "_taylor", taylor)
+    return fitted
 
 
 def fit_sequence(
@@ -372,7 +410,8 @@ def fit_sequence(
     """One approximant per requested depth, from truncations of a series.
 
     The parameters at depth k are the first k of every deeper fit, so one
-    fit at the largest requested depth serves them all.
+    fit at the largest requested depth serves them all, and its stored
+    expansion through order k serves each depth-k form's ``expand``.
     """
     orders = list(orders)
     for k in orders:

@@ -13,6 +13,18 @@ from collections.abc import Iterator, Sequence
 from ._record import Record, _set
 
 
+def _finite_float(value, lead: str) -> float:
+    """``float(value)``, or ValueError "<lead>, got <value>" when that is
+    not finite or, for an int too large for a float, does not exist."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{lead}, got {value!r}")
+    return x
+
+
 class TruncatedSeries(Record):
     """Coefficients c0..cK of a power series truncated at order K."""
 
@@ -69,18 +81,15 @@ class TruncatedSeries(Record):
         u = self.coeffs
         if u[0] != 1.0:
             raise ValueError(f"series power requires constant term 1, got {u[0]!r}")
-        s = float(exponent)
-        if not math.isfinite(s):
-            raise ValueError(
-                f"series power requires a finite exponent, got {exponent!r}"
-            )
+        s = _finite_float(exponent, "series power requires a finite exponent")
         if len(u) == 1:
             return self
         expansion = _Expansion(s, ())
         for c in u[:-1]:  # order n stores order n - 1's coefficient
             expansion.step(c)
-        expansion.frontier(u[-1])
-        return TruncatedSeries((1.0, *reversed(expansion.hs[0])))
+        return TruncatedSeries(
+            (1.0, *reversed(expansion.hs[0]), expansion.frontier(u[-1]))
+        )
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""
@@ -107,13 +116,16 @@ class _Expansion:
     innermost first: ``step`` stores the previous order at the coefficient
     the caller chose, then forms the order's sums and finishes each level
     at the innermost new bracket coefficient 0 and 1, returning both trials
-    of the whole form.  ``frontier`` stores the last order.
+    of the whole form.  ``frontier`` reads the last order's coefficient,
+    which follows those in ``hs[0]``: ``fit`` keeps them all for ``expand``,
+    and ``fit_parameters`` never reads its last order.
     """
 
-    __slots__ = ("s1", "params", "us", "hs", "factors", "last", "partial")
+    __slots__ = ("s1", "s1j", "params", "us", "hs", "factors", "last", "partial")
 
     def __init__(self, power: float, params: Sequence[float]):
         self.s1 = power + 1.0
+        self.s1j: list[float] = []  # s1j[j - 1] is (s + 1) j
         self.params = params
         self.us: list[list[float]] = []
         self.hs: list[list[float]] = []
@@ -128,8 +140,9 @@ class _Expansion:
         len(params) + 1, and return coefficient n of the whole form at the
         innermost new bracket coefficient 0 and 1.
         """
-        factors, last, n = self.factors, self.last, len(self.factors)
-        factors.append(row := [self.s1 * j - n for j in range(1, n + 1)])
+        factors, last, n, s1j = self.factors, self.last, len(self.factors), self.s1j
+        s1j.append(self.s1 * n)
+        factors.append(row := [x - n for x in s1j])
         last.append(row[-1])
         us, hs, params, partial = self.us, self.hs, self.params, self.partial
         i = len(partial) - 1  # the previous order's innermost level
@@ -168,19 +181,13 @@ class _Expansion:
             t, t0, t1 = a * stored, a * h0, a * h1
 
     def frontier(self, t: float) -> float:
-        """Store the latest order with innermost new bracket coefficient t
-        and return its coefficient of the whole form."""
+        """Coefficient of the latest order of the whole form at innermost
+        new bracket coefficient t.  No order follows, so nothing is stored."""
         last, partial, params = self.last, self.partial, self.params
-        us, hs = self.us, self.hs
         i = len(partial) - 1
         m = len(last) - 1 - i
         h = (partial[i] + last[m] * t) / m
-        us[i].append(t)
-        hs[i].insert(0, h)
         for i in range(i - 1, -1, -1):
             m += 1
-            u = params[i] * h
-            h = (partial[i] + last[m] * u) / m
-            us[i].append(u)
-            hs[i].insert(0, h)
+            h = (partial[i] + last[m] * (params[i] * h)) / m
         return h

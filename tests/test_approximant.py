@@ -1,5 +1,6 @@
 """Fitting, evaluation, and asymptotics of the nested-root form."""
 
+import copy
 import math
 import pickle
 import random
@@ -217,6 +218,43 @@ class TestConstruction:
     def test_needs_parameters(self):
         with pytest.raises(ValueError, match="parameter"):
             ContinuedRootApproximant(0.5, ())
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, power):
+        # expand would return non-finite coefficients; fit rejects the same
+        message = f"^nesting power must be finite, got {power!r}$"
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(power, (1.0, 0.5))
+
+    def test_non_finite_params_allowed(self):
+        approx = ContinuedRootApproximant(0.5, (math.nan, math.inf, -math.inf))
+        assert approx.order == 3
+
+
+# An int too large for a float is not finite either: each entry point that
+# takes a power says so in its own words, not with a bare OverflowError.
+@pytest.mark.parametrize("power", [10**400, -(10**400)], ids=["+", "-"])
+@pytest.mark.parametrize(
+    "call, lead",
+    [
+        (
+            lambda p: TruncatedSeries((1.0, 0.5, -0.25)).power(p),
+            "series power requires a finite exponent",
+        ),
+        (
+            lambda p: fit(TruncatedSeries((1.0, 0.5, 0.1)), p),
+            "nesting power must be finite",
+        ),
+        (
+            lambda p: ContinuedRootApproximant(p, (1.0,)),
+            "nesting power must be finite",
+        ),
+    ],
+    ids=["series_power", "fit", "constructor"],
+)
+def test_huge_int_power_is_a_value_error(call, lead, power):
+    with pytest.raises(ValueError, match=f"^{re.escape(lead)}, got {power}$"):
+        call(power)
 
 
 class TestExpand:
@@ -654,6 +692,82 @@ class TestFitSequence:
         with pytest.raises(VanishingSensitivityError) as excinfo:
             fit_sequence(series, s, range(2, 17))
         assert excinfo.value.order == 14
+
+
+# Shallow enough that every prefix of every draw expands quickly.
+shallow_coefficients = st.lists(
+    st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=10
+)
+
+
+class TestFittedExpansion:
+    """A fitted form keeps the expansion its fit computed.  Its ``expand``
+    must give the bits of a hand-built form with the same fields, which
+    walks the recurrence again, and a copy must behave as the hand-built
+    form in every respect."""
+
+    @staticmethod
+    def assert_expands_as_built(form, depth):
+        built = ContinuedRootApproximant(form.power, form.params)
+        for n in range(depth + 3):
+            got = [c.hex() for c in form.expand(n).coeffs]
+            assert got == [c.hex() for c in built.expand(n).coeffs], n
+
+    @given(any_powers, shallow_coefficients)
+    @example(-1, [0.5, 0.25, -0.125])
+    @example(0.5, [1.0])
+    @example(2.5, [1.0, 0.0, 0.5])
+    def test_expand_bitwise_as_built(self, s, coeffs):
+        series = TruncatedSeries((1.0, *coeffs))
+        try:
+            fitted = fit(series, s)
+        except ContinuedRootError:
+            assume(False)
+        depth = series.order
+        for form in (
+            fitted,
+            pickle.loads(pickle.dumps(fitted)),
+            copy.copy(fitted),
+            copy.deepcopy(fitted),
+        ):
+            self.assert_expands_as_built(form, depth)
+        prefixes = fit_sequence(series, s, range(1, depth + 1))
+        for k, prefix in enumerate(prefixes, 1):
+            self.assert_expands_as_built(prefix, k)
+
+    @pytest.mark.parametrize("power", [exponent_to_power(2.0), -1])
+    def test_fitted_form_is_the_built_record(self, power):
+        fitted = fit(TruncatedSeries((1.0, 1.0, -0.125, 0.03125)), power)
+        built = ContinuedRootApproximant(power, fitted.params)
+        assert fitted == built
+        assert hash(fitted) == hash(built)
+        assert repr(fitted) == repr(built)
+        assert type(fitted).__slots__ == ("power", "params")
+        with pytest.raises(AttributeError, match="cannot assign"):
+            fitted.power = 0.5
+
+    def test_walks_only_past_the_fit(self, monkeypatch):
+        orders = []
+        kernel = approximant.nested_expansion
+
+        def wrapper(params, s, order):
+            orders.append(order)
+            return kernel(params, s, order)
+
+        monkeypatch.setattr(approximant, "nested_expansion", wrapper)
+        series = TruncatedSeries((1.0, 1.0, -0.125, 0.03125))
+        fitted = fit(series, 0.5)
+        prefix = fit_sequence(series, 0.5, [2])[0]
+        for n in range(4):
+            fitted.expand(n)
+        prefix.expand(2)
+        assert orders == []
+        fitted.expand(4)
+        prefix.expand(3)
+        copy.copy(fitted).expand(3)
+        pickle.loads(pickle.dumps(fitted)).expand(1)
+        ContinuedRootApproximant(0.5, fitted.params).expand(3)
+        assert orders == [4, 3, 3, 1, 3]
 
 
 class TestEvaluate:
