@@ -49,25 +49,29 @@ def power_to_exponent(power: float) -> float:
     return power / (1.0 - power)
 
 
+def _check_power(power: float) -> float:
+    """The nesting power as a float, or ValueError unless it is finite,
+    non-zero and -1 <= s < 1: the paper's s = beta / (1 + beta), beta > -1/2,
+    with its continued-fraction case s = -1."""
+    s = _finite_float(power, "nesting power must be finite")
+    if s == 0.0:
+        raise ValueError("nesting power must be non-zero")
+    if not -1.0 <= s < 1.0:
+        raise ValueError(f"nesting power must satisfy -1 <= s < 1, got {power!r}")
+    return s
+
+
 def finite_order_exponent(power: float, order: int) -> float:
     """Exponent of the order-k form: the geometric sum s + s^2 + ... + s^k.
 
-    Evaluated in closed form as (s - s**(k+1)) / (1 - s).  Tends to the
-    infinite-depth exponent s / (1 - s) when |s| < 1.  Raises ValueError,
-    naming the order, when the exponent leaves the float range (only
-    |s| > 1).
+    Evaluated in closed form as (s - s**(k+1)) / (1 - s), which tends to the
+    infinite-depth exponent s / (1 - s).  The power is checked as ``fit``
+    checks it; in that domain the quotient is at most 2**54.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    if power == 1.0:
-        return float(order)
-    try:
-        exponent = (power - power ** (order + 1)) / (1.0 - power)
-        if math.isfinite(exponent):
-            return exponent
-    except OverflowError:
-        pass
-    raise ValueError(f"the exponent of order {order} leaves the float range")
+    s = _check_power(power)
+    return (s - s ** (order + 1)) / (1.0 - s)
 
 
 def _require_positive(
@@ -92,8 +96,8 @@ def _power_law(
     which must be known to be positive.  The rest are checked, and then
     their factors are multiplied in, outermost first, so B_k continues from
     B_done with the operations that build it from 1.  Raises ValueError,
-    naming the depth, when a factor (only |s| > 1) or the product leaves the
-    float range.
+    naming the depth, when a factor (a subnormal parameter under s near -1)
+    or the product leaves the float range.
     """
     _require_positive(params, "amplitude", done)
     try:
@@ -141,16 +145,19 @@ class AmplitudeResult(Record):
         """This law converted to one of x**target_exponent at ``match_point``.
 
         B_k * match_point**(beta_k - target); B_k itself at match point 1.
-        Raises ValueError, naming the depth, when the conversion leaves the
-        float range.
+        Raises ValueError, naming the depth, when the conversion or its
+        product with a finite B_k leaves the float range.
         """
         try:
-            return self.amplitude * match_point ** (self.exponent - target_exponent)
+            estimate = self.amplitude * match_point ** (self.exponent - target_exponent)
+            if not math.isinf(estimate) or math.isinf(self.amplitude):
+                return estimate
         except OverflowError:
-            raise ValueError(
-                f"the estimate at depth {self.order} leaves the float range "
-                f"at match point {match_point!r}"
-            ) from None
+            pass
+        raise ValueError(
+            f"the estimate at depth {self.order} leaves the float range "
+            f"at match point {match_point!r}"
+        )
 
 
 class _Expanded:
@@ -168,7 +175,7 @@ class ContinuedRootApproximant(Record, _Expanded):
 
     ``params`` holds A1..Ak from the outermost bracket inward.  The form is
     real-valued on x >= 0 exactly when every parameter is non-negative.
-    The power must be finite.
+    The power must be non-zero with -1 <= s < 1, as in ``fit``.
     """
 
     __slots__ = ("power", "params")
@@ -177,7 +184,7 @@ class ContinuedRootApproximant(Record, _Expanded):
         if len(params) < 1:
             raise ValueError("an approximant needs at least one parameter")
         _set(self, "params", tuple(map(float, params)))
-        _set(self, "power", _finite_float(power, "nesting power must be finite"))
+        _set(self, "power", _check_power(power))
 
     @property
     def order(self) -> int:
@@ -220,17 +227,14 @@ class ContinuedRootApproximant(Record, _Expanded):
         Raises ComplexBreakdownError, naming the offending depth, if a
         negative parameter drives some bracket base negative under a
         non-integer power, and ValueError, naming x, if x is negative or not
-        finite or a bracket's power leaves the float range (possible only for
-        |s| > 1).
+        finite.  No bracket's power overflows: a positive base is at least
+        2**-53, and -1 <= s < 1.
         """
         if not 0.0 <= x < math.inf:
             if x < 0.0:
                 raise ValueError(f"argument must be non-negative, got {x!r}")
             raise ValueError(f"argument must be finite, got {x!r}")
-        try:
-            return nested_evaluate(self.params, self.power, float(x))
-        except OverflowError:
-            raise ValueError(f"the value at x = {x!r} leaves the float range") from None
+        return nested_evaluate(self.params, self.power, float(x))
 
     def amplitude(self) -> AmplitudeResult:
         """Large-argument power law of this form.
@@ -239,7 +243,7 @@ class ContinuedRootApproximant(Record, _Expanded):
         exponent is the finite geometric sum of powers.  All parameters must
         be strictly positive for the fractional powers to be real.  Raises
         ValueError, naming the depth, when a factor or the product leaves the
-        float range, and naming the order when the exponent does.
+        float range.
         """
         return _power_law(self.params, self.power)
 
@@ -321,9 +325,7 @@ def _fit_power(series: TruncatedSeries, power: float) -> float:
         )
     if series.order < 1:
         raise ValueError("fit needs at least the linear coefficient")
-    if power == 0.0:
-        raise ValueError("nesting power must be non-zero")
-    s = _finite_float(power, "nesting power must be finite")
+    s = _check_power(power)
     for n, c in enumerate(coeffs):
         if not math.isfinite(c):
             raise ValueError(f"fit requires finite coefficients; c{n} is {c!r}")
@@ -382,7 +384,7 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.
-        power: the repeated nesting power s, finite and non-zero.
+        power: the repeated nesting power s, non-zero with -1 <= s < 1.
 
     Raises:
         DegenerateSeriesError: the linear coefficient is zero.
@@ -390,7 +392,7 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
             its parameter (slope below tolerance), typically after an
             earlier parameter fitted to exactly zero.
         ValueError: c0 != 1, K < 1, a coefficient is not finite, or power
-            is 0 or not finite.
+            is 0, not finite or outside -1 <= s < 1.
     """
     s = _fit_power(series, power)
     expansion = _Expansion(s, [])

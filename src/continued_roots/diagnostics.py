@@ -18,6 +18,7 @@ from ._record import Record
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
+    _check_power,
     _power_law,
     _require_positive,
     exponent_to_power,
@@ -34,28 +35,18 @@ def nested_radical_exponent(power: float, depth: int) -> float:
 
     For depth n this is (1 - s**(n-1)) / ((1 - s) * s**(n-1)); the products
     gamma_n * s**n that enter the boundedness terms then telescope to
-    (s - s**n) / (1 - s).  For |s| > 1, where that denominator can overflow,
-    the equal form ((1/s)**(n-1) - 1) / (1 - s) is used instead.  Raises
-    ValueError, naming the depth and the power, when s**(n-1) underflows
-    and the result is not finite.
+    (s - s**n) / (1 - s).  The power is checked as ``fit`` checks it.
+    Raises ValueError, naming the depth and the power, when s**(n-1)
+    underflows and the result is not finite.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if power == 0.0 or power == 1.0:
-        raise ValueError(
-            f"radical exponents are undefined for power {power!r}"
-        )
+    s = _check_power(power)
+    scale = s ** (depth - 1)
     try:
-        scale = power ** (depth - 1)
-        denominator = (1.0 - power) * scale
-        if math.isinf(denominator):
-            raise OverflowError  # the product overflows before s**(n-1) does
-        exponent = (1.0 - scale) / denominator
+        exponent = (1.0 - scale) / ((1.0 - s) * scale)
         if math.isfinite(exponent):
             return exponent
-    except OverflowError:
-        # only for |s| > 1, where (1/s)**(n-1) underflows harmlessly instead
-        return ((1.0 / power) ** (depth - 1) - 1.0) / (1.0 - power)
     except ZeroDivisionError:
         pass
     raise ValueError(
@@ -101,17 +92,16 @@ def herschfeld_terms(
 
     With L = variable_bound and M the largest parameter, the term at depth
     n is (L*M)**(gamma_n * s**n), n = 2..k.  All parameters must be
-    strictly positive and |s| must be below 1 for the criterion to apply.
+    strictly positive and s must not be -1, so that |s| < 1, for the
+    criterion to apply.
     A ValueError naming L*M is raised when L*M or a term leaves the float
     range, and one naming the depth when a radical exponent does.
     """
     s = approximant.power
-    if not abs(s) < 1.0:
+    if s == -1.0:
         raise ValueError(
             f"the boundedness criterion requires |power| < 1, got {s!r}"
         )
-    if s == 0.0:
-        raise ValueError("the boundedness criterion is undefined for power 0")
     if not variable_bound > 0.0:
         raise ValueError(
             f"variable bound must be positive, got {variable_bound!r}"
@@ -182,8 +172,9 @@ def sequence_report(
     target exponent at ``match_point`` (a match point of 1 leaves B_k as
     is), and the percent error compares the amplitude estimate against the
     target amplitude when that is known.  Approximants that cannot produce
-    a real amplitude, or whose amplitude or estimate leaves the float range,
-    yield failed rows that name the depth rather than aborting the report.
+    a real amplitude, or whose amplitude, estimate, observable or percent
+    error leaves the float range, yield failed rows that name the depth
+    rather than aborting the report.
 
     Every row equals the one ``amplitude()`` of its approximant gives, bit
     for bit, but B_k is carried along the sequence: when an approximant has
@@ -212,28 +203,29 @@ def sequence_report(
     for approx in approximants:
         if approx.power != power or approx.params[: len(chain)] != chain:
             done, b = 0, 1.0  # not a deeper form of the last one: restart
-        chain, power = approx.params, approx.power
+        chain, power, k = approx.params, approx.power, approx.order
         try:
             result = _power_law(chain, power, done, b)
             done, b = len(chain), result.amplitude
             estimate = result.estimate(target.exponent, match_point)
+            observable = observable_prefactor * estimate
+            if not math.isfinite(observable):
+                raise ValueError(f"the observable at depth {k} leaves the float range")
+            percent = None
+            if target.amplitude is not None:
+                percent = (estimate - target.amplitude) / target.amplitude * 100.0
+                if not math.isfinite(percent):
+                    raise ValueError(
+                        f"the percent error at depth {k} leaves the float range"
+                    )
         except (ContinuedRootError, ValueError) as err:
             # The exponent depends only on power and depth, so report it
-            # even when the amplitude is not real, unless it is not finite.
-            try:
-                exponent = finite_order_exponent(approx.power, approx.order)
-            except ValueError:
-                exponent = None
-            rows.append(ReportRow(approx.order, None, exponent, None, None, str(err)))
+            # even when the amplitude is not real.
+            exponent = finite_order_exponent(power, k)
+            rows.append(ReportRow(k, None, exponent, None, None, str(err)))
             continue
-        percent = None
-        if target.amplitude is not None:
-            percent = (estimate - target.amplitude) / target.amplitude * 100.0
         rows.append(
-            ReportRow(
-                approx.order, result.amplitude, result.exponent,
-                observable_prefactor * estimate, percent,
-            )
+            ReportRow(k, result.amplitude, result.exponent, observable, percent)
         )
     return ExtrapolationReport(
         rows=tuple(rows),

@@ -5,9 +5,10 @@ recurrence from ``TruncatedSeries.power``, so agreement between the two is
 a real cross-check rather than a tautology.
 
 The nested-expansion helpers bound the float64 rounding error of the
-expansion a priori (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 3) and evaluate it exactly in rational arithmetic, so
-tests can derive tolerances from the arithmetic instead of tuning them.
+expansion by a running error analysis (Higham, *Accuracy and Stability of
+Numerical Algorithms*, section 3.3) and evaluate it exactly in rational
+arithmetic, so tests can derive tolerances from the arithmetic instead of
+tuning them.
 
 ``fractional_power``, ``nested_expansion`` and ``nested_evaluate`` are
 the package's former kernels, kept verbatim: each rebuilds its result
@@ -18,17 +19,58 @@ expansions per order, kept as the reference that the incremental ``fit``
 must reproduce bit for bit.  ``string_coefficients_exact`` is the former
 generator of fluid_string's rational coefficients, a running binomial in
 ``Fraction`` arithmetic.
+
+``power_in_domain`` states the nesting power's domain, -1 <= s < 1 and
+s != 0, apart from the package, and ``assert_power_rejected`` checks that
+every entry point that takes a power rejects one outside it alike.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from continued_roots.approximant import SLOPE_TOLERANCE, ContinuedRootApproximant
+import pytest
+
+from continued_roots.approximant import (
+    SLOPE_TOLERANCE,
+    ContinuedRootApproximant,
+    finite_order_exponent,
+    fit,
+    fit_parameters,
+    fit_sequence,
+)
+from continued_roots.diagnostics import nested_radical_exponent
 from continued_roots.errors import DegenerateSeriesError, VanishingSensitivityError
 from continued_roots.series import TruncatedSeries
 
 UNIT_ROUNDOFF = 2.0**-53
+
+
+def power_in_domain(s: float) -> bool:
+    """True for a nesting power the package accepts: -1 <= s < 1, s != 0."""
+    return -1.0 <= s < 1.0 and s != 0.0
+
+
+def assert_power_rejected(power) -> None:
+    """Every entry point that takes a nesting power rejects this one with
+    the same ValueError, raised by the one private check."""
+    series = TruncatedSeries((1.0, 0.5, 0.1))
+    calls = [
+        lambda: fit(series, power),
+        lambda: next(fit_parameters(series, power)),
+        lambda: fit_sequence(series, power, [1, 2]),
+        lambda: ContinuedRootApproximant(power, (1.0, 0.5)),
+        lambda: finite_order_exponent(power, 2),
+        lambda: nested_radical_exponent(power, 2),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert "_check_power" in [entry.name for entry in excinfo.traceback]
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1, messages
 
 
 def series_log(u: list[float]) -> list[float]:
@@ -122,47 +164,92 @@ def nested_evaluate(
     return (u**s, 0)
 
 
-def gamma(count: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
-    return count * UNIT_ROUNDOFF / (1.0 - count * UNIT_ROUNDOFF)
+def _up(x: float) -> float:
+    """The float after x.  A float64 operation on non-negative values,
+    rounded to nearest and then moved up by this, bounds the exact result
+    from above, so error bounds are not lowered by their own rounding."""
+    return math.nextafter(x, math.inf)
 
 
-def expansion_majorant(
-    params: list[float], s: float, order: int
-) -> tuple[float, int]:
-    """Rounding bound ingredients for coefficient ``order`` of the nested form.
+class Bounded:
+    """A float64 value with a bound on its distance from the exact value of
+    the expression that computed it, the inputs taken at their exact binary
+    values: a running error analysis (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.3) carried by the arithmetic.
 
-    Runs the recurrence of ``nested_expansion`` above on absolute values,
-    with the factor ``(s + 1) j - m`` majorised by ``(|s| + 1) j + m``:
-    ``s + 1`` is rounded, so the cancellation in that factor cannot be
-    relied on for small ``|s|``.  Alongside, it counts the roundings N in the longest product-and-sum chain, with the operations
-    in that function's order (three for the factor, two products, one per
-    addition after the first, one for the division).  The computed
-    coefficient then lies within ``gamma(N) * M`` of the exact one, where M
-    is the returned majorant.
+    Each operation gives the float64 result z of the same operation on the
+    values, so code run on Bounded inputs computes its float bits, and the
+    bound of z: the bounds of the operands propagated through it, plus
+    u|z| for its own rounding (fl(x op y) = (x op y) / (1 + delta) with
+    |delta| <= u, Higham's (2.5)) and the smallest subnormal for an
+    underflow.  Floats and ints mixed in are exact.  Division is only by an
+    exact divisor, which is all the expansion recurrence needs.
     """
-    n = order + 1
 
-    def power(u: list[tuple[float, int]]) -> list[tuple[float, int]]:
-        h = [(1.0, 0)] + [(0.0, 0)] * (n - 1)
-        for m in range(1, n):
-            acc, count = 0.0, 0
-            for j in range(1, m + 1):
-                acc += ((abs(s) + 1.0) * j + m) * u[j][0] * h[m - j][0]
-                term = 3 + u[j][1] + 1 + h[m - j][1] + 1
-                count = term if j == 1 else max(count, term) + 1
-            h[m] = (acc / m, count + 1)
-        return h
+    __slots__ = ("value", "error")
 
-    u = [(1.0, 0)] + [(0.0, 0)] * (n - 1)
-    if n > 1:
-        u[1] = (abs(params[-1]), 0)
-    for a in reversed(params[:-1]):
-        p = power(u)
-        u = [(1.0, 0)] + [
-            (abs(a) * p[j - 1][0], p[j - 1][1] + 1) for j in range(1, n)
-        ]
-    return power(u)[order]
+    def __init__(self, value: float, error: float = 0.0):
+        self.value, self.error = value, error
+
+    @staticmethod
+    def of(x) -> "Bounded":
+        return x if isinstance(x, Bounded) else Bounded(float(x))
+
+    @staticmethod
+    def _rounded(z: float, *propagated: float) -> "Bounded":
+        error = 0.0
+        for e in (*propagated, _up(UNIT_ROUNDOFF * abs(z)), 5e-324):
+            error = _up(error + e)
+        return Bounded(z, error)
+
+    def __add__(self, other) -> "Bounded":
+        other = Bounded.of(other)
+        return Bounded._rounded(self.value + other.value, self.error, other.error)
+
+    def __sub__(self, other) -> "Bounded":
+        other = Bounded.of(other)
+        return Bounded._rounded(self.value - other.value, self.error, other.error)
+
+    def __mul__(self, other) -> "Bounded":
+        # |x y - x' y'| <= |x| e_y + |y| e_x + e_x e_y for exact x', y'
+        other = Bounded.of(other)
+        (a, ea), (b, eb) = (self.value, self.error), (other.value, other.error)
+        return Bounded._rounded(
+            a * b, _up(abs(a) * eb), _up(abs(b) * ea), _up(ea * eb)
+        )
+
+    def __truediv__(self, other) -> "Bounded":
+        other = Bounded.of(other)
+        assert other.error == 0.0, "division only by an exact divisor"
+        return Bounded._rounded(
+            self.value / other.value, _up(self.error / abs(other.value))
+        )
+
+    def __radd__(self, other) -> "Bounded":
+        return Bounded.of(other) + self
+
+    def __rsub__(self, other) -> "Bounded":
+        return Bounded.of(other) - self
+
+    def __rmul__(self, other) -> "Bounded":
+        return Bounded.of(other) * self
+
+
+def expansion_with_error(
+    params: list[float], s: float, order: int
+) -> tuple[float, float]:
+    """Coefficient ``order`` of the nested form with a running error bound.
+
+    Runs ``nested_expansion`` above, unchanged, on ``Bounded`` inputs: the
+    value has its float bits, and the exact coefficient lies within the
+    returned bound of it.  The bound is formed from the values the
+    computation meets, so it sees the cancellation in ``(s + 1) j - m``
+    and between terms, which an a-priori majorant cannot.
+    """
+    coeff = Bounded.of(
+        nested_expansion([Bounded(a) for a in params], Bounded(s), order)[order]
+    )
+    return coeff.value, coeff.error
 
 
 def exact_expansion_coefficient(

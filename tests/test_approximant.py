@@ -35,12 +35,14 @@ from continued_roots import (
 from continued_roots import _backend, approximant
 
 from oracles import (
+    Bounded,
+    assert_power_rejected,
     exact_expansion_coefficient,
-    expansion_majorant,
+    expansion_with_error,
     fractional_power,
-    gamma,
     nested_evaluate,
     nested_expansion,
+    power_in_domain,
     reference_fit,
 )
 
@@ -58,14 +60,16 @@ nonzero_params = st.one_of(
 )
 param_lists = st.lists(nonzero_params, min_size=1, max_size=8)
 
-# The incremental fit must reproduce the two-trial reference on any input,
-# including powers outside the contracting range, the reciprocal power -1
-# and deep chains whose slopes fall under the degeneracy floor.
-any_powers = st.one_of(
-    nonzero_powers,
-    st.just(-1.0),
-    st.floats(min_value=1.05, max_value=3.0),
-    st.floats(min_value=-3.0, max_value=-1.05),
+# The incremental fit must reproduce the two-trial reference on any input
+# of the power's domain, the reciprocal power -1 included, and on deep
+# chains whose slopes fall under the degeneracy floor.
+any_powers = st.one_of(nonzero_powers, st.just(-1.0))
+# Powers outside the domain -1 <= s < 1, s != 0, which every entry point
+# rejects alike: the ranges and values the bitwise tests once drew there.
+outside_powers = st.one_of(
+    st.floats(min_value=1.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=-1.0, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 0, 1, 2, -2, math.nan, math.inf, -math.inf]),
 )
 deep_param_lists = st.lists(nonzero_params, min_size=1, max_size=24)
 # Parameters for comparisons with the former kernels: either sign, and
@@ -142,7 +146,6 @@ class TestExponentAlgebra:
         )
         assert finite_order_exponent(-1.0, 2) == 0.0
         assert finite_order_exponent(-1.0, 3) == -1.0
-        assert finite_order_exponent(1.0, 3) == 3.0
 
     def test_finite_order_approaches_target(self):
         s = exponent_to_power(2.0)
@@ -163,14 +166,13 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError, match="order"):
             finite_order_exponent(0.5, 0)
 
-    @pytest.mark.parametrize("s, k", [(3.0, 646), (-3.0, 646), (1.5, 1748)])
-    def test_finite_order_overflow_names_the_order(self, s, k):
-        # s ** (k + 1) leaves the float range at 3.0, while at 1.5 it stays
-        # finite and the quotient by 1 - s does not
-        assert math.isfinite(finite_order_exponent(s, k - 1))
-        message = f"^the exponent of order {k} leaves the float range$"
-        with pytest.raises(ValueError, match=message):
-            finite_order_exponent(s, k)
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000, 10**6])
+    def test_finite_order_within_the_float_range(self, k):
+        # in the domain |s**(k+1)| <= 1 and 1 - s >= 2**-53, so the
+        # quotient is at most 2**54; s just below 1 comes closest
+        s = math.nextafter(1.0, 0.0)
+        assert abs(finite_order_exponent(s, k)) <= 2.0**54
+        assert abs(finite_order_exponent(-1.0, k)) <= 1.0
 
 
 class TestExponentTarget:
@@ -255,6 +257,49 @@ class TestConstruction:
 def test_huge_int_power_is_a_value_error(call, lead, power):
     with pytest.raises(ValueError, match=f"^{re.escape(lead)}, got {power}$"):
         call(power)
+
+
+@pytest.mark.parametrize(
+    "power, message",
+    [
+        (2.5, "nesting power must satisfy -1 <= s < 1, got 2.5"),
+        (1.0, "nesting power must satisfy -1 <= s < 1, got 1.0"),
+        (-1.5, "nesting power must satisfy -1 <= s < 1, got -1.5"),
+        (0.0, "nesting power must be non-zero"),
+        (math.nan, "nesting power must be finite, got nan"),
+        (math.inf, "nesting power must be finite, got inf"),
+        (10**400, f"nesting power must be finite, got {10**400}"),
+    ],
+    ids=["2.5", "1.0", "-1.5", "0.0", "nan", "inf", "10**400"],
+)
+def test_one_check_rejects_a_power_outside_the_domain(power, message):
+    assert not power_in_domain(power)
+    assert_power_rejected(power)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ContinuedRootApproximant(power, (1.0,))
+
+
+# the former out-of-domain draws of the bitwise tests, TestDeepBitwise's
+# s = 2.5 and evaluate's integer powers among them
+@given(outside_powers)
+@example(2.5)
+@example(3.0)
+@example(-2.0)
+def test_every_entry_point_rejects_a_power_outside_the_domain(power):
+    assert not power_in_domain(power)
+    assert_power_rejected(power)
+
+
+@pytest.mark.parametrize(
+    "power",
+    [-1.0, -1, math.nextafter(-1.0, 0.0), -1e-3, 1e-3, 0.5, math.nextafter(1.0, 0.0)],
+)
+def test_every_power_in_the_domain_is_accepted(power):
+    assert power_in_domain(power)
+    series = TruncatedSeries((1.0, 0.5, 0.1))
+    assert fit(series, power).power == float(power)
+    assert ContinuedRootApproximant(power, (1.0, 0.5)).power == float(power)
+    assert math.isfinite(finite_order_exponent(power, 2))
 
 
 class TestExpand:
@@ -400,41 +445,35 @@ class TestFit:
     @given(nonzero_powers, param_lists)
     # coefficients near -1.018e4 that differ by only 3e-2: the float64
     # residual, 3.6e-12, is 1.2e-10 of the difference, so only a bound
-    # built from the magnitudes of the computation holds here
+    # built from the computation itself holds here
     @example(-0.90625, [2.0, 2.0, 1.0, 0.25, 0.25, 0.125, 1.0])
     def test_coefficient_affine_in_its_parameter(self, s, params):
         n = len(params)
-        values, majorants, roundings = [], [], 0
-        for trial in (0.0, 1.0, 2.0):
-            # trial 0 would make the params tuple end in zero, which is fine
-            # for expansion even though it is degenerate for fitting
-            trial_params = params[:-1] + [trial]
-            expansion = ContinuedRootApproximant(s, tuple(trial_params))
-            values.append(expansion.expand(n)[n])
-            majorant, count = expansion_majorant(trial_params, s, n)
-            majorants.append(majorant)
-            roundings = max(roundings, count)
-        lo, mid, hi = values
-        m_lo, m_mid, m_hi = majorants
-        # exactly, hi - lo - 2 (mid - lo) = hi - 2 mid + lo vanishes; in
-        # float64 each value lies within gamma(roundings) times its majorant
-        # of the exact one, and the combination adds three roundings of
-        # differences no larger than the majorants; the majorants are summed
-        # in float64 without cancellation, so they read at most gamma low
-        bound = gamma(roundings + 4) * (m_lo + 2.0 * m_mid + m_hi)
-        bound /= 1.0 - gamma(roundings)
-        assert abs((hi - lo) - 2.0 * (mid - lo)) <= bound
+        # trial 0 would make the params tuple end in zero, which is fine
+        # for expansion even though it is degenerate for fitting
+        lo, mid, hi = (
+            Bounded(
+                ContinuedRootApproximant(s, (*params[:-1], trial)).expand(n)[n],
+                expansion_with_error(params[:-1] + [trial], s, n)[1],
+            )
+            for trial in (0.0, 1.0, 2.0)
+        )
+        # exactly, hi - lo - 2 (mid - lo) = hi - 2 mid + lo vanishes; each
+        # value lies within its running error bound of the exact one, and
+        # the combination carries those bounds through its own roundings
+        residual = (hi - lo) - 2.0 * (mid - lo)
+        assert abs(residual.value) <= residual.error
 
     @given(nonzero_powers, param_lists)
     @example(-0.90625, [2.0, 2.0, 1.0, 0.25, 0.25, 0.125, 1.0])
     def test_expansion_within_rounding_bound(self, s, params):
-        # the bound that the affine check relies on, against exact
-        # rational arithmetic on the same inputs
+        # the bound that the affine check relies on, for the bits that
+        # expand computes, against exact rational arithmetic on the inputs
         n = len(params)
         got = ContinuedRootApproximant(s, tuple(params)).expand(n)[n]
-        majorant, roundings = expansion_majorant(params, s, n)
-        error = abs(Fraction(got) - exact_expansion_coefficient(params, s, n))
-        assert error <= gamma(roundings) * majorant / (1.0 - gamma(roundings))
+        value, bound = expansion_with_error(params, s, n)
+        assert value.hex() == got.hex()
+        assert abs(Fraction(got) - exact_expansion_coefficient(params, s, n)) <= bound
 
     @given(st.data())
     def test_low_coefficients_insulated_from_deep_params(self, data):
@@ -500,7 +539,6 @@ class TestMatchesFormerKernels:
 
     @given(any_powers, any_params, st.integers(min_value=-24, max_value=8))
     @example(-1.0, [1.0, 0.0, 2.0], 4)
-    @example(2.5, [0.5], 6)
     @example(-1.0, [0.0], 0)
     @example(-1.0, [1.0, 0.0], 0)
     @example(-1.0, [0.0, 1.0], 2)
@@ -514,21 +552,14 @@ class TestMatchesFormerKernels:
         want = nested_expansion(params, s, order)
         assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
 
-    @given(
-        st.one_of(any_powers, st.sampled_from([1.0, 2.0, -2.0])),
-        any_params,
-        st.floats(min_value=0.0, max_value=50.0),
-    )
+    @given(any_powers, any_params, st.floats(min_value=0.0, max_value=50.0))
     @example(0.5, [1.0, -5.0], 1.0)
-    @example(-1.0, [1.0, -1.0], 1.0)
-    @example(2.0, [1.0, -5.0], 1.0)
-    @example(3.0, [1.0] * 5, 7.0)
     # a bracket exactly 0 under a negative power raises
+    @example(-1.0, [1.0, -1.0], 1.0)
     @example(-1.0, [-0.5], 2.0)
-    @example(-2.0, [1.0, -1.0], 1.0)
-    # a bracket below 0 under an integer power does not
-    @example(-2.0, [1.0, -5.0], 1.0)
-    @example(2.0, [-5.0, 1.0], 1.0)
+    # a bracket below 0 under the one integer power, -1, does not
+    @example(-1.0, [1.0, -5.0], 1.0)
+    @example(-1.0, [-5.0, 1.0], 1.0)
     # NaN passes through with no raise, and so does -0.0
     @example(0.5, [1.0, math.nan], 1.0)
     @example(0.5, [1.0, -0.0], 3.0)
@@ -543,14 +574,9 @@ class TestMatchesFormerKernels:
             with pytest.raises(ValueError, match="^argument must be finite, got inf$"):
                 approx.evaluate(x)
             return
-        try:
-            value, depth = nested_evaluate(params, s, x, s.is_integer())
-        except OverflowError:
-            # float ** raises past the float range; evaluate names the point
-            message = f"the value at x = {x!r} leaves the float range"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                approx.evaluate(x)
-            return
+        # no bracket's power overflows in the domain: a positive base is
+        # at least 2**-53, so here the former kernel raises nothing either
+        value, depth = nested_evaluate(params, s, x, s.is_integer())
         if depth:
             with pytest.raises(ComplexBreakdownError) as excinfo:
                 approx.evaluate(x)
@@ -559,7 +585,7 @@ class TestMatchesFormerKernels:
             assert approx.evaluate(x).hex() == value.hex()
 
 
-@pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.75, -0.5, -1.0, 2.5])
+@pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.75, -0.5, -1.0])
 @pytest.mark.parametrize("depth", [32, 48, 64])
 class TestDeepBitwise:
     """Depths past the strategies' 24, to twice the benchmark's deepest
@@ -716,7 +742,6 @@ class TestFittedExpansion:
     @given(any_powers, shallow_coefficients)
     @example(-1, [0.5, 0.25, -0.125])
     @example(0.5, [1.0])
-    @example(2.5, [1.0, 0.0, 0.5])
     def test_expand_bitwise_as_built(self, s, coeffs):
         series = TruncatedSeries((1.0, *coeffs))
         try:
@@ -817,9 +842,9 @@ class TestEvaluate:
         assert excinfo.value.depth == 2
 
     def test_integer_power_tolerates_negative_base(self):
-        # with an integer power the bracket may go negative and stay real
-        approx = ContinuedRootApproximant(2.0, (1.0, -5.0))
-        value = (1.0 + 1.0 * ((1.0 - 5.0) ** 2)) ** 2
+        # with the integer power -1 the bracket may go negative and stay real
+        approx = ContinuedRootApproximant(-1.0, (1.0, -5.0))
+        value = (1.0 + 1.0 * ((1.0 - 5.0) ** -1)) ** -1
         assert approx.evaluate(1.0) == pytest.approx(value, rel=1e-15)
 
     def test_zero_base_with_negative_power(self):
@@ -864,25 +889,29 @@ class TestAmplitude:
         with pytest.raises(RealnessError, match="parameter 2 is nan"):
             ContinuedRootApproximant(0.5, (1.0, math.nan)).amplitude()
 
-    def test_overflowing_factor_names_its_depth(self):
-        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there.  The
-        # factors before it are 1, so the product is finite until then.
-        params = (1.0,) * 6 + (2.0,) * 2
+    @pytest.mark.parametrize("s", [-1.0, -0.9999999])
+    def test_overflowing_factor_names_its_depth(self, s):
+        # 5e-324 ** s**7 leaves the float range for s near -1, where s**7
+        # is near -1 too.  The factors before it are 1, so the product is
+        # finite until then.
+        params = (1.0,) * 6 + (5e-324,) * 2
         message = "^the amplitude factor at depth 7 leaves the float range$"
         with pytest.raises(ValueError, match=message):
-            ContinuedRootApproximant(3.0, params).amplitude()
+            ContinuedRootApproximant(s, params).amplitude()
         with pytest.raises(ValueError, match=message):
-            ContinuedRootApproximant(3.0, params).asymptote(1.0)
+            ContinuedRootApproximant(s, params).asymptote(1.0)
+        message = "^the amplitude factor at depth 1 leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(s, (5e-324,)).amplitude()
 
     @pytest.mark.parametrize(
         "s, params, depth",
         [
-            # each factor 2.0 ** 3**n is finite through n = 6, and their
-            # product is 2.0 ** 363 at depth 5 and 2.0 ** 1092 at depth 6
-            (3.0, (2.0,) * 6, 6),
-            (3.0, (2.0,) * 8, 6),
-            # |s| < 1 gets there too: 1e270 * 1e243
+            # 1e300 ** 0.9 is 1e270, and 1e270 * 1e300 ** 0.81 is 1e513
             (0.9, (1e300, 1e300), 2),
+            (0.9, (1e300,) * 4, 2),
+            # 1e-300 ** -1 * 1e300 ** 1 is 1e600
+            (-1.0, (1e-300, 1e300), 2),
         ],
     )
     def test_overflowing_product_names_its_depth(self, s, params, depth):
@@ -892,12 +921,6 @@ class TestAmplitude:
         message = f"^the amplitude at depth {depth} leaves the float range$"
         with pytest.raises(ValueError, match=message):
             ContinuedRootApproximant(s, params).amplitude()
-
-    def test_overflowing_exponent_names_its_order(self):
-        # every factor is 1.0, and 3.0 ** 647 leaves the float range
-        message = "^the exponent of order 646 leaves the float range$"
-        with pytest.raises(ValueError, match=message):
-            ContinuedRootApproximant(3.0, (1.0,) * 646).amplitude()
 
     @given(st.data())
     def test_product_form(self, data):
@@ -958,12 +981,25 @@ class TestAmplitudeEstimate:
             assert struct.pack("<d", got) == struct.pack("<d", amplitude)
 
     def test_overflowing_conversion_names_its_depth(self):
-        # beta_8 = 9840 at s = 3, and 7.0 ** 9839 leaves the float range
-        law = ContinuedRootApproximant(3.0, (1.0,) * 8).amplitude()
-        assert (law.amplitude, law.exponent) == (1.0, 9840.0)
-        message = "^the estimate at depth 8 leaves the float range at match point 7.0$"
-        with pytest.raises(ValueError, match=message):
-            law.estimate(1.0, 7.0)
+        # beta_8 = 255/256 at s = 1/2, and 1e-3 ** (beta_8 - 400) leaves
+        # the float range
+        law = ContinuedRootApproximant(0.5, (1.0,) * 8).amplitude()
+        assert (law.amplitude, law.exponent) == (1.0, 255 / 256)
+        message = "the estimate at depth 8 leaves the float range at match point 0.001"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            law.estimate(400.0, 1e-3)
+
+    @pytest.mark.parametrize("amplitude", [1e290, -1e290])
+    def test_overflowing_product_names_its_depth(self, amplitude):
+        # 1e10 ** (3 - 1) is 1e20, finite, but its product with 1e290 is not
+        law = AmplitudeResult(amplitude, 3.0, 2)
+        assert law.estimate(1.0, 1e5) == amplitude * 1e10
+        message = (
+            "the estimate at depth 2 leaves the float range "
+            "at match point 10000000000.0"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            law.estimate(1.0, 1e10)
 
 
 class TestRationalReduction:

@@ -18,6 +18,7 @@ from continued_roots import (
     ReportRow,
     TruncatedSeries,
     exponent_to_power,
+    finite_order_exponent,
     problem,
     sequence_report,
 )
@@ -539,6 +540,45 @@ class TestTable:
             "error": "invalid-input",
             "message": "known amplitude must be non-zero, got 0.0",
         }
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            # the estimate B_2 * 1e-10 ** (beta_2 - 2) is 4.6e8, times 1e300
+            (
+                {"observable_prefactor": 1e300, "known_amplitude": 1.0},
+                "the observable at depth 2 leaves the float range",
+            ),
+            # (4.6e8 - 1e-300) / 1e-300 * 100
+            (
+                {"known_amplitude": 1e-300},
+                "the percent error at depth 2 leaves the float range",
+            ),
+        ],
+    )
+    def test_overflowing_observable_fails_its_row(
+        self, capsys, tmp_path, overrides, error
+    ):
+        fields = {"coefficients": [1, 0.5, 0.1], "beta": 2, "match_point": 1e-10}
+        path = write_problem(tmp_path, name="big", **fields, **overrides)
+        argv = ("table", "--file", path, "--kmax", "2", "--format")
+        code, out = run_cli(capsys, *argv, "json")
+        assert code == 1
+        assert strict_json(out)["rows"] == [
+            {
+                "k": 2, "B_k": None, "beta_k": finite_order_exponent(2 / 3, 2),
+                "observable": None, "percent_error": None, "error": error,
+            }
+        ]
+        code, out = run_cli(capsys, *argv, "csv")
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out)))[1][1:] == [
+            "", repr(finite_order_exponent(2 / 3, 2)), "", "",
+        ]
+        code, out = run_cli(capsys, *argv, "table")
+        assert code == 1
+        assert out.splitlines()[3].endswith(f"  FAILED: {error}")
+        assert "inf" not in out
 
     def test_error_cells_empty_without_baseline(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 0.5, 0.1])

@@ -27,6 +27,8 @@ from continued_roots import (
     sequence_report,
 )
 
+from oracles import assert_power_rejected, power_in_domain
+
 contracting_powers = st.one_of(
     st.floats(min_value=0.05, max_value=0.95),
     st.floats(min_value=-0.95, max_value=-0.05),
@@ -54,7 +56,7 @@ class TestRadicalExponents:
         telescoped = (s - s**n) / (1.0 - s)
         assert product == pytest.approx(telescoped, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("s", [0.05, -0.05, 0.5, -0.9, 1.5, -3.0])
+    @pytest.mark.parametrize("s", [0.05, -0.05, 0.5, -0.9, -1.0])
     def test_finite_results_keep_the_closed_form_bits(self, s):
         for n in range(1, 300):
             try:
@@ -64,16 +66,6 @@ class TestRadicalExponents:
             if not math.isfinite(want):
                 break
             assert nested_radical_exponent(s, n).hex() == want.hex()
-
-    @pytest.mark.parametrize("s, n", [(-3.0, 646), (3.0, 647), (3.0, 700)])
-    def test_overflowing_closed_form_matches_mpmath(self, s, n):
-        # (1 - s) * s**(n-1) overflows at 646 and 647, and s**(n-1) at 700
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(60):
-            scale = mpmath.mpf(s) ** (n - 1)
-            want = float((1 - scale) / ((1 - mpmath.mpf(s)) * scale))
-        assert want in (-0.25, 0.5)
-        assert nested_radical_exponent(s, n) == want
 
     @pytest.mark.parametrize("depth", [240, 260])
     def test_exponent_beyond_float_range_rejected(self, depth):
@@ -85,9 +77,9 @@ class TestRadicalExponents:
     def test_domain(self):
         with pytest.raises(ValueError, match="depth"):
             nested_radical_exponent(0.5, 0)
-        with pytest.raises(ValueError, match="undefined"):
+        with pytest.raises(ValueError, match="^nesting power must be non-zero$"):
             nested_radical_exponent(0.0, 2)
-        with pytest.raises(ValueError, match="undefined"):
+        with pytest.raises(ValueError, match="must satisfy -1 <= s < 1, got 1.0$"):
             nested_radical_exponent(1.0, 2)
 
 
@@ -181,11 +173,6 @@ class TestHerschfeldTerms:
             ContinuedRootApproximant(0.05, (1.0,) * 237), 100.0
         ).bounded
 
-    def test_zero_power_rejected(self):
-        # at depth 1 there is no radical exponent to reject the power
-        with pytest.raises(ValueError, match="undefined for power 0"):
-            herschfeld_terms(ContinuedRootApproximant(0.0, (1.0,)), 2.0)
-
     def test_non_contracting_power_rejected(self):
         with pytest.raises(ValueError, match="1"):
             herschfeld_terms(ContinuedRootApproximant(-1.0, (1.0, 1.0)), 2.0)
@@ -244,25 +231,25 @@ def assert_rows_alone(approximants, target, observable_prefactor=1.0, match_poin
             try:
                 law = approx.amplitude()
                 estimate = law.estimate(target.exponent, match_point)
+                observable = observable_prefactor * estimate
+                if not math.isfinite(observable):
+                    raise ValueError(
+                        f"the observable at depth {approx.order} leaves the float range"
+                    )
+                percent = None
+                if target.amplitude is not None:
+                    percent = (estimate - target.amplitude) / target.amplitude * 100.0
+                    if not math.isfinite(percent):
+                        raise ValueError(
+                            f"the percent error at depth {approx.order} "
+                            "leaves the float range"
+                        )
             except (ContinuedRootError, ValueError) as err:
-                try:
-                    exponent = finite_order_exponent(approx.power, approx.order)
-                except ValueError:
-                    exponent = None
+                exponent = finite_order_exponent(approx.power, approx.order)
                 expected.append((approx.order, None, exponent, None, None, str(err)))
                 continue
-            percent = None
-            if target.amplitude is not None:
-                percent = (estimate - target.amplitude) / target.amplitude * 100.0
             expected.append(
-                (
-                    law.order,
-                    law.amplitude,
-                    law.exponent,
-                    observable_prefactor * estimate,
-                    percent,
-                    None,
-                )
+                (law.order, law.amplitude, law.exponent, observable, percent, None)
             )
     except ArithmeticError as err:
         with pytest.raises(type(err)) as excinfo:
@@ -403,7 +390,7 @@ class TestSequenceReport:
         ] + ["parameter 5 is nan"] * 3
 
     @given(
-        power=st.sampled_from([0.5, 2 / 3, -0.5, -1.0, 2.5]),
+        power=st.sampled_from([0.5, 2 / 3, -0.5, -1.0]),
         params=st.lists(
             st.one_of(
                 st.floats(min_value=0.05, max_value=4.0),
@@ -432,6 +419,9 @@ class TestSequenceReport:
                 p[depth // 2] = value
             elif edit == "power":
                 s = -power
+                if not power_in_domain(s):  # -(-1.0)
+                    assert_power_rejected(s)
+                    continue
             elif edit == "unrelated":
                 p = [value] * depth
             approximants.append(ContinuedRootApproximant(s, tuple(p)))
@@ -462,61 +452,66 @@ class TestSequenceReport:
         assert not any(row.failed for row in report.rows)
 
     def test_overflowing_amplitude_fails_its_row_naming_the_depth(self):
-        # 2.0 ** 3**7 leaves the float range; only |s| > 1 gets there.  The
-        # factors before it are 1, so the product is finite until then.
-        params = (1.0,) * 6 + (2.0,) * 2
-        chain = [ContinuedRootApproximant(3.0, params[:k]) for k in (5, 7, 8)]
-        chain.append(ContinuedRootApproximant(3.0, (1.0,) * 9))
+        # 5e-324 ** (-1)**7 leaves the float range at s = -1.  The factors
+        # before it are 1, so the product is finite until then.
+        params = (1.0,) * 6 + (5e-324, 2.0)
+        chain = [ContinuedRootApproximant(-1.0, params[:k]) for k in (5, 7, 8)]
+        chain.append(ContinuedRootApproximant(-1.0, (1.0,) * 9))
         target = ExponentTarget(1.0)
         assert_rows_alone(chain, target)
         rows = sequence_report(chain, target).rows
         assert [row.failed for row in rows] == [False, True, True, False]
         for row in rows[1:3]:
             assert row.error == "the amplitude factor at depth 7 leaves the float range"
-            assert row.exponent == finite_order_exponent(3.0, row.order)
+            assert row.exponent == finite_order_exponent(-1.0, row.order)
             assert (row.amplitude, row.observable, row.percent_error) == (None,) * 3
         assert rows[3].amplitude == 1.0
 
     def test_overflowing_product_fails_its_row_and_the_deeper_ones(self):
-        # each factor 2.0 ** 3**n is finite through n = 6, and their product
-        # is 2.0 ** 363 at depth 5 and 2.0 ** 1092 at depth 6
-        chain = [ContinuedRootApproximant(3.0, (2.0,) * k) for k in (5, 6, 8)]
+        # 1e300 ** 0.9 is 1e270, and 1e270 * 1e300 ** 0.81 is 1e513
+        chain = [ContinuedRootApproximant(0.9, (1e300,) * k) for k in (1, 2, 4)]
         target = ExponentTarget(1.0)
         assert_rows_alone(chain, target)
         rows = sequence_report(chain, target).rows
-        assert rows[0].amplitude == 2.0**363
+        assert rows[0].amplitude == 1e300**0.9
         for row in rows[1:]:
-            assert row.error == "the amplitude at depth 6 leaves the float range"
-            assert row.exponent == finite_order_exponent(3.0, row.order)
+            assert row.error == "the amplitude at depth 2 leaves the float range"
+            assert row.exponent == finite_order_exponent(0.9, row.order)
             assert (row.amplitude, row.observable, row.percent_error) == (None,) * 3
 
-    def test_overflowing_exponent_fails_its_row_with_no_exponent(self):
-        # 3.0 ** 647 leaves the float range: as the exponent's s**(k+1) at
-        # depth 646, and as the factor 1.0 ** 3**647 at depth 700
-        chain = [ContinuedRootApproximant(3.0, (1.0,) * k) for k in (645, 646, 700)]
-        target = ExponentTarget(1.0)
-        assert_rows_alone(chain, target)
-        rows = sequence_report(chain, target).rows
-        assert rows[0].amplitude == 1.0
-        assert rows[0].exponent == finite_order_exponent(3.0, 645)
-        assert [row.error for row in rows[1:]] == [
-            "the exponent of order 646 leaves the float range",
-            "the amplitude factor at depth 647 leaves the float range",
-        ]
-        for row in rows[1:]:
-            assert (row.amplitude, row.exponent, row.observable) == (None,) * 3
-
     def test_overflowing_estimate_fails_its_row_naming_the_depth(self):
-        # beta_8 = 9840 at s = 3, and 7.0 ** 9839 leaves the float range
-        chain = [ContinuedRootApproximant(3.0, (1.0,) * k) for k in (2, 8)]
-        target = ExponentTarget(1.0, 1.0)
-        assert_rows_alone(chain, target, match_point=7.0)
-        first, last = sequence_report(chain, target, match_point=7.0).rows
-        assert not first.failed
-        assert last.error == (
-            "the estimate at depth 8 leaves the float range at match point 7.0"
-        )
+        # beta_k < 1 at s = 1/2, and 1e-3 ** (beta_k - 400) leaves the
+        # float range at every depth
+        chain = [ContinuedRootApproximant(0.5, (1.0,) * k) for k in (2, 8)]
+        target = ExponentTarget(400.0, 1.0)
+        assert_rows_alone(chain, target, match_point=1e-3)
+        rows = sequence_report(chain, target, match_point=1e-3).rows
+        assert [row.error for row in rows] == [
+            f"the estimate at depth {k} leaves the float range at match point 0.001"
+            for k in (2, 8)
+        ]
         assert not any(row.failed for row in sequence_report(chain, target).rows)
+
+    @pytest.mark.parametrize(
+        "prefactor, amplitude, name",
+        [
+            # B_1 = 1 and B_2 = 1e300 ** (4/9) = 2.2e133, times 1e180
+            (1e180, 1.0, "observable"),
+            # 100 (B_k - 1e-180) / 1e-180 is 1e182, then 2.2e315
+            (1.0, 1e-180, "percent error"),
+        ],
+    )
+    def test_overflowing_observable_or_percent_error_fails_its_row(
+        self, prefactor, amplitude, name
+    ):
+        chain = [ContinuedRootApproximant(2 / 3, (1.0, 1e300)[:k]) for k in (1, 2)]
+        target = ExponentTarget(2.0, amplitude)
+        assert_rows_alone(chain, target, observable_prefactor=prefactor)
+        first, second = sequence_report(chain, target, prefactor).rows
+        assert not first.failed
+        assert second.error == f"the {name} at depth 2 leaves the float range"
+        assert second.exponent == finite_order_exponent(2 / 3, 2)
+        assert second.amplitude is second.observable is second.percent_error is None
 
     def test_orders_must_increase(self):
         fits, modes = self.fits()
