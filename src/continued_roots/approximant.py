@@ -13,7 +13,7 @@ of infinite nesting depth.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record, _set
 from .errors import (
@@ -33,13 +33,21 @@ def exponent_to_power(exponent: float) -> float:
     """Nesting power s that realises a large-argument exponent beta.
 
     Defined as beta / (1 + beta); requires a finite beta > -1/2 so that
-    |s| < 1 and the infinite-depth construction converges.
+    |s| < 1 and the infinite-depth construction converges, and one small
+    enough that s does not round to 1.
     """
     if not -0.5 < exponent < math.inf:
         if -math.inf < exponent < math.inf:
             raise ValueError(f"target exponent must exceed -1/2, got {exponent!r}")
         raise ValueError(f"target exponent must be finite, got {exponent!r}")
-    return exponent / (1.0 + exponent)
+    # from about 9.007e15 up, s rounds to 1; past 2**63, skip the sum that
+    # overflows for an int beyond the float range
+    power = exponent / (1.0 + exponent) if exponent < 2.0**63 else 1.0
+    if not power < 1.0:
+        raise ValueError(
+            f"target exponent must leave beta / (1 + beta) below 1, got {exponent!r}"
+        )
+    return power
 
 
 def power_to_exponent(power: float) -> float:
@@ -66,12 +74,16 @@ def finite_order_exponent(power: float, order: int) -> float:
 
     Evaluated in closed form as (s - s**(k+1)) / (1 - s), which tends to the
     infinite-depth exponent s / (1 - s).  The power is checked as ``fit``
-    checks it; in that domain the quotient is at most 2**54.
+    checks it; in that domain the quotient is at most 2**54.  Raises
+    ValueError, naming the order, when the order leaves the float range.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     s = _check_power(power)
-    return (s - s ** (order + 1)) / (1.0 - s)
+    try:
+        return (s - s ** (order + 1)) / (1.0 - s)
+    except OverflowError:
+        raise ValueError(f"order {order} leaves the float range") from None
 
 
 def _require_positive(
@@ -295,7 +307,7 @@ def nested_expansion(params: Sequence[float], s: float, order: int) -> list[floa
     for n in range(order):  # order n + 1 stores order n's coefficient t
         expansion.step(t)
         t = params[n] if n < len(params) else 0.0
-    return [1.0, *reversed(expansion.hs[0]), expansion.frontier(t)]
+    return list(expansion.coefficients(t))
 
 
 def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
@@ -336,51 +348,20 @@ def _fit_power(series: TruncatedSeries, power: float) -> float:
     return s
 
 
-def _solve(coeffs: Sequence[float], expansion: _Expansion) -> Iterator[float]:
-    """Append A1, A2, ... to ``expansion.params`` and yield each, one per
-    order of ``coeffs``, leaving the last order unstored."""
-    slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
-    params = expansion.params
-    a = 0.0  # order 1 stores nothing
-    for n in range(1, len(coeffs)):
-        at_zero, at_one = expansion.step(a)
-        slope = at_one - at_zero
-        if abs(slope) < slope_floor:
-            raise VanishingSensitivityError(n, slope)
-        a = (coeffs[n] - at_zero) / slope
-        params.append(a)
-        yield a
-
-
-def fit_parameters(series: TruncatedSeries, power: float) -> Iterator[float]:
-    """Yield the fitted parameters A1, A2, ... of ``series``, one per order.
-
-    The n-th value is the one ``fit`` returns at any depth >= n, so a
-    caller can stop early or keep the prefix fitted before a failure; the
-    error for order n is raised when the n-th value is requested.  Arguments
-    and errors are those of ``fit``.  Order n adds level A_n to the
-    expansion that ``expand`` runs and walks its levels once: at each level
-    it stores order n - 1 at the solved A_(n-1), then forms order n's sums
-    and reads the form's coefficient n at A_n = 0 and 1.  Unlike ``fit``,
-    this never reads the form's last coefficient.  Only each level's new
-    coefficient depends on A_n, so both trials share the sums that do not:
-    order n costs about n**2 / 2 multiply-adds, the fit O(K**3).
-    """
-    yield from _solve(series.coeffs, _Expansion(_fit_power(series, power), []))
-
-
 def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     """Fit a nested-root form whose expansion matches the series exactly.
 
     Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
     coefficient of the nested form is an affine function of A_n, read off at
     the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
-    The resulting depth equals the series order.  The solve is that of
-    ``fit_parameters``, in one walk over the levels per order; the trial
-    values, the slope and every parameter are bit for bit those of two full
-    expansions per order.  One more walk, O(K), reads the form's coefficient
-    K, and the form keeps the expansion c0..cK so built: its ``expand``
-    through order K reads it instead of walking again, with the same bits.
+    The resulting depth equals the series order.  Order n is one walk over
+    the levels of the expansion that ``expand`` runs: the two trials share
+    every sum but each level's new coefficient, so order n costs about
+    n**2 / 2 multiply-adds and the fit O(K**3), and the trial values, the
+    slope and every parameter are bit for bit those of two full expansions
+    per order.  One more walk, O(K), reads the form's coefficient K, and
+    the form keeps the expansion c0..cK so built: its ``expand`` through
+    order K reads it instead of walking again, with the same bits.
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.
@@ -395,14 +376,23 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
             is 0, not finite or outside -1 <= s < 1.
     """
     s = _fit_power(series, power)
+    coeffs = series.coeffs
+    slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
     expansion = _Expansion(s, [])
-    params = tuple(_solve(series.coeffs, expansion))
-    taylor = (1.0, *reversed(expansion.hs[0]), expansion.frontier(params[-1]))
+    params = expansion.params
+    a = 0.0  # order 1 stores nothing
+    for n in range(1, len(coeffs)):
+        at_zero, at_one = expansion.step(a)
+        slope = at_one - at_zero
+        if abs(slope) < slope_floor:
+            raise VanishingSensitivityError(n, slope)
+        a = (coeffs[n] - at_zero) / slope
+        params.append(a)
     # the fields are floats already, so the constructor's coercion is skipped
     fitted = object.__new__(ContinuedRootApproximant)
     _set(fitted, "power", s)
-    _set(fitted, "params", params)
-    _set(fitted, "_taylor", taylor)
+    _set(fitted, "params", tuple(params))
+    _set(fitted, "_taylor", expansion.coefficients(a))
     return fitted
 
 

@@ -23,10 +23,12 @@ from .approximant import (
     _require_positive,
     exponent_to_power,
     finite_order_exponent,
-    fit_parameters,
+    fit_sequence,
 )
 from .corpus import BenchmarkProblem
-from .errors import ContinuedRootError
+from .errors import (
+    ContinuedRootError, DegenerateSeriesError, VanishingSensitivityError,
+)
 from .series import TruncatedSeries
 
 
@@ -37,16 +39,19 @@ def nested_radical_exponent(power: float, depth: int) -> float:
     gamma_n * s**n that enter the boundedness terms then telescope to
     (s - s**n) / (1 - s).  The power is checked as ``fit`` checks it.
     Raises ValueError, naming the depth and the power, when s**(n-1)
-    underflows and the result is not finite.
+    underflows and the result is not finite, and one naming the depth when
+    the depth leaves the float range.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     s = _check_power(power)
-    scale = s ** (depth - 1)
     try:
+        scale = s ** (depth - 1)
         exponent = (1.0 - scale) / ((1.0 - s) * scale)
         if math.isfinite(exponent):
             return exponent
+    except OverflowError:  # only the int depth - 1 converting to a float
+        raise ValueError(f"depth {depth} leaves the float range") from None
     except ZeroDivisionError:
         pass
     raise ValueError(
@@ -238,11 +243,11 @@ def sequence_report(
 def depth_table(problem: BenchmarkProblem, kmax: int) -> ExtrapolationReport:
     """Extrapolation report for depths 2..kmax of a problem.
 
-    One fit at ``kmax`` serves every depth, because the parameters at depth
-    k are the first k of any deeper fit.  When that fit fails at order n,
-    each depth k >= n gets a failed row with the error a fit at depth k
-    raises, which is the same one; shallower depths are reported from the
-    prefix fitted before the failure.
+    The report of ``fit_sequence`` over depths 2..kmax, one fit at ``kmax``
+    serving every depth.  When that fit fails at order n, each depth k >= n
+    gets a failed row with the error a fit at depth k raises, which is the
+    same one; shallower depths are reported from a fit at depth n - 1,
+    whose parameters are those solved before the failure.
 
     Raises ValueError when kmax is below 2 or the problem cannot supply
     kmax coefficients, and the ValueError of ``fit`` for invalid series.
@@ -251,25 +256,22 @@ def depth_table(problem: BenchmarkProblem, kmax: int) -> ExtrapolationReport:
         raise ValueError(f"kmax must be at least 2, got {kmax}")
     power = exponent_to_power(problem.target_exponent)
     series = TruncatedSeries(tuple(problem.coefficients(kmax)))
-    params: list[float] = []
-    failure = None
     try:
-        for a in fit_parameters(series, power):
-            params.append(a)
-    except ContinuedRootError as err:
-        failure = str(err)
+        fits = fit_sequence(series, power, range(2, kmax + 1))
+    except VanishingSensitivityError as err:
+        failure = err
+        fits = fit_sequence(series, power, range(2, err.order))
+    except DegenerateSeriesError as err:
+        failure, fits = err, []
     report = sequence_report(
-        [
-            ContinuedRootApproximant(power, tuple(params[:k]))
-            for k in range(2, len(params) + 1)
-        ],
+        fits,
         ExponentTarget(problem.target_exponent, problem.known_amplitude),
         observable_prefactor=problem.observable_prefactor,
         match_point=problem.match_point,
     )
     failed = tuple(
-        ReportRow(k, None, None, None, None, failure)
-        for k in range(max(2, len(params) + 1), kmax + 1)
+        ReportRow(k, None, None, None, None, str(failure))
+        for k in range(len(fits) + 2, kmax + 1)
     )
     return ExtrapolationReport(
         report.rows + failed, report.target, report.observable_prefactor,

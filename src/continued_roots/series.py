@@ -87,9 +87,7 @@ class TruncatedSeries(Record):
         expansion = _Expansion(s, ())
         for c in u[:-1]:  # order n stores order n - 1's coefficient
             expansion.step(c)
-        return TruncatedSeries(
-            (1.0, *reversed(expansion.hs[0]), expansion.frontier(u[-1]))
-        )
+        return TruncatedSeries(expansion.coefficients(u[-1]))
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""
@@ -116,9 +114,8 @@ class _Expansion:
     innermost first: ``step`` stores the previous order at the coefficient
     the caller chose, then forms the order's sums and finishes each level
     at the innermost new bracket coefficient 0 and 1, returning both trials
-    of the whole form.  ``frontier`` reads the last order's coefficient,
-    which follows those in ``hs[0]``: ``fit`` keeps them all for ``expand``,
-    and ``fit_parameters`` never reads its last order.
+    of the whole form.  ``coefficients`` reads the last order's coefficient
+    and returns it after those in ``hs[0]``, c0..cK of the whole form.
     """
 
     __slots__ = ("s1", "s1j", "params", "us", "hs", "factors", "last", "partial")
@@ -180,9 +177,10 @@ class _Expansion:
             a = params[i]
             t, t0, t1 = a * stored, a * h0, a * h1
 
-    def frontier(self, t: float) -> float:
-        """Coefficient of the latest order of the whole form at innermost
-        new bracket coefficient t.  No order follows, so nothing is stored."""
+    def coefficients(self, t: float) -> tuple[float, ...]:
+        """Coefficients c0..cK of the whole form, K the latest order, at
+        innermost new bracket coefficient t.  No order follows, so nothing
+        is stored."""
         last, partial, params = self.last, self.partial, self.params
         i = len(partial) - 1
         m = len(last) - 1 - i
@@ -190,4 +188,4 @@ class _Expansion:
         for i in range(i - 1, -1, -1):
             m += 1
             h = (partial[i] + last[m] * (params[i] * h)) / m
-        return h
+        return (1.0, *reversed(self.hs[0]), h)

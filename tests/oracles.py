@@ -37,7 +37,6 @@ from continued_roots.approximant import (
     ContinuedRootApproximant,
     finite_order_exponent,
     fit,
-    fit_parameters,
     fit_sequence,
 )
 from continued_roots.diagnostics import nested_radical_exponent
@@ -58,7 +57,6 @@ def assert_power_rejected(power) -> None:
     series = TruncatedSeries((1.0, 0.5, 0.1))
     calls = [
         lambda: fit(series, power),
-        lambda: next(fit_parameters(series, power)),
         lambda: fit_sequence(series, power, [1, 2]),
         lambda: ContinuedRootApproximant(power, (1.0, 0.5)),
         lambda: finite_order_exponent(power, 2),

@@ -116,6 +116,25 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError, match=message):
             exponent_to_power(exponent)
 
+    @pytest.mark.parametrize(
+        "exponent",
+        [9007199779152872.0, 1e16, 1e17, 2.0**63, 10**400],
+        ids=["first", "1e16", "1e17", "2**63", "10**400"],
+    )
+    def test_exponent_to_power_rejects_a_beta_whose_power_rounds_to_one(
+        self, exponent
+    ):
+        # beta / (1 + beta) rounds to 1.0 from 9007199779152872.0 up; an int
+        # beyond the float range has no float sum at all
+        message = (
+            f"target exponent must leave beta / (1 + beta) below 1, got {exponent!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exponent_to_power(exponent)
+
+    def test_exponent_to_power_just_below_the_rounding(self):
+        assert exponent_to_power(math.nextafter(9007199779152872.0, 0.0)) < 1.0
+
     def test_power_to_exponent_examples(self):
         assert power_to_exponent(0.5) == pytest.approx(1.0, abs=1e-15)
         assert power_to_exponent(0.0) == 0.0
@@ -166,6 +185,11 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError, match="order"):
             finite_order_exponent(0.5, 0)
 
+    def test_finite_order_beyond_float_range_names_the_order(self):
+        order = 10**400
+        with pytest.raises(ValueError, match=f"^order {order} leaves the float"):
+            finite_order_exponent(0.5, order)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 1000, 10**6])
     def test_finite_order_within_the_float_range(self, k):
         # in the domain |s**(k+1)| <= 1 and 1 - s >= 2**-53, so the
@@ -187,6 +211,11 @@ class TestExponentTarget:
     def test_exponent_domain(self):
         with pytest.raises(ValueError, match="-1/2"):
             ExponentTarget(-0.5)
+
+    def test_exponent_whose_power_rounds_to_one_rejected(self):
+        message = "target exponent must leave beta / (1 + beta) below 1, got 1e+17"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExponentTarget(1e17)
 
     @pytest.mark.parametrize("amplitude", [0, 0.0, -0.0])
     def test_zero_amplitude_rejected(self, amplitude):

@@ -320,6 +320,20 @@ class TestProblemFileValidation:
             "message": f"problem file field 'beta' must be non-zero, got {beta!r}",
         }
 
+    @pytest.mark.parametrize("command", ["fit", "table"])
+    def test_beta_whose_power_rounds_to_one_rejected_naming_beta(
+        self, capsys, tmp_path, command
+    ):
+        path = write_problem(tmp_path, coefficients=[1, 0.5, 0.1], beta=1e16)
+        depth = "--order" if command == "fit" else "--kmax"
+        code, out = run_cli(capsys, command, "--file", path, depth, "2")
+        assert code == 1
+        assert strict_json(out) == {
+            "error": "invalid-input",
+            "message": "target exponent must leave beta / (1 + beta) below 1, "
+            "got 1e+16",
+        }
+
     def assert_rejected(self, capsys, path, field):
         code, out = run_cli(capsys, "fit", "--file", path, "--order", "2")
         assert code == 1

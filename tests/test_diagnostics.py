@@ -74,6 +74,11 @@ class TestRadicalExponents:
         with pytest.raises(ValueError, match=f"depth {depth} for power 0.05"):
             nested_radical_exponent(0.05, depth)
 
+    def test_depth_beyond_float_range_names_the_depth(self):
+        depth = 10**400
+        with pytest.raises(ValueError, match=f"^depth {depth} leaves the float"):
+            nested_radical_exponent(0.5, depth)
+
     def test_domain(self):
         with pytest.raises(ValueError, match="depth"):
             nested_radical_exponent(0.5, 0)
@@ -578,6 +583,43 @@ class TestDepthTable:
         rows = depth_table(flat, 3).rows
         assert [row.order for row in rows] == [2, 3]
         assert all("linear coefficient is zero" in row.error for row in rows)
+
+    def test_stop_at_order_one_fails_every_row_with_the_fit_error(self):
+        # c1 = 1e13 puts the slope floor at 1, above the order-1 slope s
+        coeffs = [1.0, 1e13, 0.1, 0.01]
+        steep = BenchmarkProblem(
+            name="steep",
+            target_exponent=2.0,
+            observable_prefactor=1.0,
+            match_point=1.0,
+            max_order=3,
+            known_amplitude=None,
+            observable_exact=None,
+            _generator=lambda order: coeffs[: order + 1],
+        )
+        rows = depth_table(steep, 3).rows
+        assert [row.order for row in rows] == [2, 3]
+        for row in rows:
+            series = TruncatedSeries(tuple(coeffs[: row.order + 1]))
+            with pytest.raises(ContinuedRootError) as excinfo:
+                fit(series, exponent_to_power(2.0))
+            assert row.error == str(excinfo.value)
+            assert "x^1 " in row.error
+
+    @pytest.mark.parametrize("kmax, calls", [(13, 1), (16, 2)])
+    def test_runs_through_fit_sequence(self, monkeypatch, kmax, calls):
+        # a table that fits needs one sequence; fluid_string's fit stops at
+        # order 14, and the depths below it are a second, shallower one
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return fit_sequence(*args)
+
+        monkeypatch.setattr(diagnostics, "fit_sequence", counted)
+        report = depth_table(problem("fluid_string"), kmax)
+        assert len(seen) == calls
+        assert [row.failed for row in report.rows].count(False) == 12
 
     def test_kmax_domain(self):
         with pytest.raises(ValueError, match="kmax"):
