@@ -22,11 +22,7 @@ from .errors import (
     RealnessError,
     VanishingSensitivityError,
 )
-from .series import TruncatedSeries, _Expansion, _finite_float
-
-# Affine slopes below this (relative to the linear coefficient) are treated
-# as exactly zero when solving for a parameter.
-SLOPE_TOLERANCE = 1e-13
+from .series import TruncatedSeries, _factors, _finite_float, _power
 
 
 def exponent_to_power(exponent: float) -> float:
@@ -172,17 +168,7 @@ class AmplitudeResult(Record):
         )
 
 
-class _Expanded:
-    """Private base of ContinuedRootApproximant: a slot, outside the record's
-    fields, for the Taylor coefficients c0..cK that a fit at depth K
-    computed, which its prefixes share.  ``fit`` and ``_prefix`` set it,
-    once; on a form built any other way, a copy or an unpickled form
-    included, it stays unset."""
-
-    __slots__ = ("_taylor",)
-
-
-class ContinuedRootApproximant(Record, _Expanded):
+class ContinuedRootApproximant(Record):
     """A fitted (or hand-built) nested-root form of fixed depth.
 
     ``params`` holds A1..Ak from the outermost bracket inward.  The form is
@@ -203,15 +189,6 @@ class ContinuedRootApproximant(Record, _Expanded):
         """Nesting depth k."""
         return len(self.params)
 
-    def _prefix(self, k: int) -> "ContinuedRootApproximant":
-        """The fitted form of A1..Ak at the same power.  It shares this
-        fitted form's expansion, which through order k is its own."""
-        prefix = object.__new__(self.__class__)
-        _set(prefix, "power", self.power)
-        _set(prefix, "params", self.params[:k])
-        _set(prefix, "_taylor", self._taylor)
-        return prefix
-
     @property
     def is_real_valued(self) -> bool:
         """True when the form stays real for all x >= 0."""
@@ -221,16 +198,11 @@ class ContinuedRootApproximant(Record, _Expanded):
         """Small-argument Taylor expansion through the given order.
 
         The expansion is exact in the formal sense: coefficients beyond the
-        nesting depth are the ones induced by the closed form, not zero.  A
-        fitted form returns the coefficients its fit stored, through its
-        depth; they are bit for bit those of ``nested_expansion``, which
-        every other order and form runs.
+        nesting depth are the ones induced by the closed form, not zero.
+        One run of ``nested_expansion``, O(K**3) at order K.
         """
         if order < 0:
             raise ValueError(f"expansion order must be non-negative, got {order}")
-        taylor = getattr(self, "_taylor", None)
-        if taylor and order <= len(self.params):
-            return TruncatedSeries(taylor[: order + 1])
         return TruncatedSeries(tuple(nested_expansion(self.params, self.power, order)))
 
     def evaluate(self, x: float) -> float:
@@ -298,16 +270,19 @@ class ContinuedRootApproximant(Record, _Expanded):
 def nested_expansion(params: Sequence[float], s: float, order: int) -> list[float]:
     """Taylor coefficients c0..c_order of the nested form (params non-empty).
 
-    Past the depth no level is added and the innermost bracket contributes 0.
+    Built from the innermost bracket outward, one ``_power`` per level:
+    level i (0-based, outermost first) is cut at order - i, the innermost
+    bracket 1 + A x padded with zeros, and the levels past the order, which
+    reach no coefficient, are left out.
     """
-    if not order:
+    depth = min(len(params), order)
+    if not depth:
         return [1.0]
-    expansion = _Expansion(s, params[:-1])
-    t = 0.0  # order 1 stores nothing
-    for n in range(order):  # order n + 1 stores order n's coefficient t
-        expansion.step(t)
-        t = params[n] if n < len(params) else 0.0
-    return list(expansion.coefficients(t))
+    s1j = _factors(s, order)
+    h = _power([params[depth - 1], *[0.0] * (order - depth)], s1j)
+    for a in reversed(params[: depth - 1]):
+        h = _power([a * c for c in h], s1j)
+    return h
 
 
 def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
@@ -351,17 +326,14 @@ def _fit_power(series: TruncatedSeries, power: float) -> float:
 def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     """Fit a nested-root form whose expansion matches the series exactly.
 
-    Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
-    coefficient of the nested form is an affine function of A_n, read off at
-    the trials A_n = 0 and A_n = 1 and solved for the series coefficient.
-    The resulting depth equals the series order.  Order n is one walk over
-    the levels of the expansion that ``expand`` runs: the two trials share
-    every sum but each level's new coefficient, so order n costs about
-    n**2 / 2 multiply-adds and the fit O(K**3), and the trial values, the
-    slope and every parameter are bit for bit those of two full expansions
-    per order.  One more walk, O(K), reads the form's coefficient K, and
-    the form keeps the expansion c0..cK so built: its ``expand`` through
-    order K reads it instead of walking again, with the same bits.
+    The form is peeled from the outside in.  With g_1 the series and
+    g_n = (1 + A_n x g_(n+1))**s, g_n**(1/s) = 1 + A_n x g_(n+1), so A_n is
+    coefficient 1 of g_n**(1/s) and g_(n+1) its coefficients 2 and up
+    divided by A_n: one ``_power`` per level, O(K**3) in all (at s = -1,
+    Viskovatov's successive division).  The resulting depth equals the
+    series order.  A_n depends only on c1..cn, by float steps that do not
+    depend on K, so a fit to a truncation gives the first parameters of
+    the deeper fit bit for bit.
 
     Args:
         series: coefficients c0..cK with c0 = 1 and K >= 1.
@@ -369,30 +341,36 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
 
     Raises:
         DegenerateSeriesError: the linear coefficient is zero.
-        VanishingSensitivityError: some coefficient no longer responds to
-            its parameter (slope below tolerance), typically after an
-            earlier parameter fitted to exactly zero.
+        VanishingSensitivityError: the parameter chain is cut before the
+            named order: the parameter before it is exactly zero, or that
+            order's parameter leaves the float range.  No parameter that
+            is returned is infinite or NaN.
         ValueError: c0 != 1, K < 1, a coefficient is not finite, or power
             is 0, not finite or outside -1 <= s < 1.
     """
     s = _fit_power(series, power)
-    coeffs = series.coeffs
-    slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
-    expansion = _Expansion(s, [])
-    params = expansion.params
-    a = 0.0  # order 1 stores nothing
-    for n in range(1, len(coeffs)):
-        at_zero, at_one = expansion.step(a)
-        slope = at_one - at_zero
-        if abs(slope) < slope_floor:
-            raise VanishingSensitivityError(n, slope)
-        a = (coeffs[n] - at_zero) / slope
+    g = series.coeffs[1:]  # coefficients 1 and up of g_n
+    s1j = _factors(1.0 / s, len(g))
+    params = []
+    for n in range(1, len(g) + 1):
+        p = _power(g, s1j)
+        a = p[1]
+        if not -math.inf < a < math.inf:
+            raise VanishingSensitivityError(n, a)
         params.append(a)
-    # the fields are floats already, so the constructor's coercion is skipped
+        if len(p) > 2:
+            if a == 0.0:
+                raise VanishingSensitivityError(n + 1, a)
+            g = [c / a for c in p[2:]]
+    return _form(s, tuple(params))
+
+
+def _form(s: float, params: tuple[float, ...]) -> ContinuedRootApproximant:
+    """The form of fitted parameters: the fields are floats already, so
+    the constructor's coercion and checks are skipped."""
     fitted = object.__new__(ContinuedRootApproximant)
     _set(fitted, "power", s)
-    _set(fitted, "params", tuple(params))
-    _set(fitted, "_taylor", expansion.coefficients(a))
+    _set(fitted, "params", params)
     return fitted
 
 
@@ -401,9 +379,8 @@ def fit_sequence(
 ) -> list[ContinuedRootApproximant]:
     """One approximant per requested depth, from truncations of a series.
 
-    The parameters at depth k are the first k of every deeper fit, so one
-    fit at the largest requested depth serves them all, and its stored
-    expansion through order k serves each depth-k form's ``expand``.
+    The parameters at depth k are the first k of every deeper fit, bit for
+    bit, so one fit at the largest requested depth serves them all.
     """
     orders = list(orders)
     for k in orders:
@@ -416,4 +393,4 @@ def fit_sequence(
     if not orders:
         return []
     deepest = fit(TruncatedSeries(series.coeffs[: max(orders) + 1]), power)
-    return [deepest._prefix(k) for k in orders]
+    return [_form(deepest.power, deepest.params[:k]) for k in orders]

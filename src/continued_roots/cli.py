@@ -52,7 +52,7 @@ from .series import TruncatedSeries
 
 CSV_HEADER = ["k", "B_k", "beta_k", "observable", "percent_error"]
 
-# Largest --order and --kmax; the fit costs O(K^3), about 0.33 s at 256
+# Largest --order and --kmax; the fit costs O(K^3), 0.29-0.35 s at 256
 # (CPython 3.11 on a shared 2-vCPU VM).
 MAX_DEPTH = 256
 

@@ -26,21 +26,28 @@ class DegenerateSeriesError(ContinuedRootError):
 
 
 class VanishingSensitivityError(ContinuedRootError):
-    """A Taylor coefficient stopped responding to its parameter.
+    """The parameter chain is cut before the named order, so no parameter
+    of that order can be fitted.
 
-    Happens when an earlier parameter fitted to exactly zero cuts the chain:
-    the affine equation for the named order has (numerically) zero slope.
+    Either the parameter before it fitted to exactly zero, so the
+    coefficient of the named order no longer responds to its parameter,
+    or that order's parameter leaves the float range (it, or a division
+    by an earlier parameter, overflowed).  ``cut`` is the value that cut
+    the chain: the zero, or the infinite or NaN parameter.
     """
 
     kind = "vanishing-sensitivity"
-    order = _arg(0, "Order whose coefficient does not respond.")
-    slope = _arg(1, "The affine slope found at that order.")
+    order = _arg(0, "Order whose parameter cannot be fitted.")
+    cut = _arg(1, "The zero parameter before that order, or its own non-finite one.")
 
     def __str__(self) -> str:
-        return (
-            f"coefficient of x^{self.order} is insensitive to parameter "
-            f"{self.order} (affine slope {self.slope:.3e}); cannot solve for it"
-        )
+        n, cut = self.order, self.cut
+        if cut == 0.0:
+            return (
+                f"coefficient of x^{n} is insensitive to parameter {n}: "
+                f"parameter {n - 1} is {cut!r}; cannot solve for it"
+            )
+        return f"parameter {n} leaves the float range ({cut!r}); cannot solve for it"
 
 
 class ComplexBreakdownError(ContinuedRootError):

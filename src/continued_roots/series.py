@@ -74,20 +74,14 @@ class TruncatedSeries(Record):
         """Raise the series to a real power.
 
         The constant term must be exactly 1, which makes the result
-        well-defined termwise for any finite real exponent.  The power
-        recurrence of ``_Expansion``, with the series as its one bracket,
-        takes O(K^2).
+        well-defined termwise for any finite real exponent.  One run of
+        ``_power``, O(K^2).
         """
         u = self.coeffs
         if u[0] != 1.0:
             raise ValueError(f"series power requires constant term 1, got {u[0]!r}")
         s = _finite_float(exponent, "series power requires a finite exponent")
-        if len(u) == 1:
-            return self
-        expansion = _Expansion(s, ())
-        for c in u[:-1]:  # order n stores order n - 1's coefficient
-            expansion.step(c)
-        return TruncatedSeries(expansion.coefficients(u[-1]))
+        return TruncatedSeries(_power(u[1:], _factors(s, len(u) - 1)))
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""
@@ -97,95 +91,29 @@ class TruncatedSeries(Record):
         return acc
 
 
-class _Expansion:
-    """Taylor coefficients of the nested form, built one order at a time.
+def _factors(s: float, n: int) -> list[float]:
+    """(s + 1) j for j = 1..n, from which ``_power`` at exponent s forms its
+    factors (s + 1) j - m, for series of up to n coefficients past the
+    constant.  The levels of a nested form share one list."""
+    return [(s + 1.0) * j for j in range(1, n + 1)]
 
-    Level i (0-based, outermost first) is the bracket U_i = 1 + A_i x H_(i+1)
-    and its power H_i = U_i**s; ``us[i]`` holds U_i's coefficients from
-    index 1 up and ``hs[i]`` H_i's newest first, down to index 1, the
-    constant 1 left implicit.  ``params`` holds A_i of every level but the
-    innermost, whose bracket coefficients the caller supplies;
-    ``TruncatedSeries.power`` is the case of one level.  Order n appends
-    index m = n - i at every level by the recurrence of u h' = s u' h:
-    h[m] = (sum over j = 1..m of ((s + 1) j - m) u[j] h[m - j]) / m, summed
-    from 0.0 in ascending j.  ``partial[i]`` keeps the terms j < m, the
-    j = m term's factor h[0] = 1 left out, so only each level's new bracket
-    coefficient is left to choose.  Each order is one walk over the levels,
-    innermost first: ``step`` stores the previous order at the coefficient
-    the caller chose, then forms the order's sums and finishes each level
-    at the innermost new bracket coefficient 0 and 1, returning both trials
-    of the whole form.  ``coefficients`` reads the last order's coefficient
-    and returns it after those in ``hs[0]``, c0..cK of the whole form.
+
+def _power(u: Sequence[float], s1j: Sequence[float]) -> list[float]:
+    """Coefficients 0..K of u**s from coefficients 1..K of u, whose
+    constant term is 1, with ``s1j`` from ``_factors(s, n)``, n >= K.
+
+    The recurrence of u h' = s u' h: h[m] is the sum over j = 1..m of
+    ((s + 1) j - m) u[j] h[m - j], summed from 0.0 in ascending j, divided
+    by m; O(K^2).  ``TruncatedSeries.power`` runs it once, and the nested
+    form's expansion and fit once per level.
     """
-
-    __slots__ = ("s1", "s1j", "params", "us", "hs", "factors", "last", "partial")
-
-    def __init__(self, power: float, params: Sequence[float]):
-        self.s1 = power + 1.0
-        self.s1j: list[float] = []  # s1j[j - 1] is (s + 1) j
-        self.params = params
-        self.us: list[list[float]] = []
-        self.hs: list[list[float]] = []
-        # factors[m][j - 1] is the factor (s + 1) j - m of the recurrence
-        self.factors: list[list[float]] = [[]]
-        self.last: list[float] = [0.0]  # last[m] is factors[m][-1]; m >= 1
-        self.partial: list[float] = []  # one per level of the latest order
-
-    def step(self, t: float) -> tuple[float, float]:
-        """Store the previous order with innermost new bracket coefficient
-        t (ignored at order 1), add the innermost level up to
-        len(params) + 1, and return coefficient n of the whole form at the
-        innermost new bracket coefficient 0 and 1.
-        """
-        factors, last, n, s1j = self.factors, self.last, len(self.factors), self.s1j
-        s1j.append(self.s1 * n)
-        factors.append(row := [x - n for x in s1j])
-        last.append(row[-1])
-        us, hs, params, partial = self.us, self.hs, self.params, self.partial
-        i = len(partial) - 1  # the previous order's innermost level
-        t0, t1 = 0.0, 1.0
-        if i < len(params):
-            # a new innermost level at index 1: its sum is empty, and
-            # (0.0 + f * t) / 1 is 0.0 + f * t exactly
-            us.append([])
-            hs.append([])
-            partial.append(0.0)
-            fm = last[1]
-            h0, h1 = 0.0 + fm * t0, 0.0 + fm * t1
-            if i < 0:
-                return h0, h1
-            a = params[i]
-            t0, t1 = a * h0, a * h1
-        m = n - i
-        while True:
-            u, h = us[i], hs[i]
-            k = m - 1
-            stored = (partial[i] + last[k] * t) / k
-            u.append(t)
-            h.insert(0, stored)
-            f = factors[m]
-            acc = 0.0
-            for j in range(k):
-                acc += f[j] * u[j] * h[j]
-            partial[i] = acc
-            fm = f[-1]
-            h0, h1 = (acc + fm * t0) / m, (acc + fm * t1) / m
-            if not i:
-                return h0, h1
-            i -= 1
-            m += 1
-            a = params[i]
-            t, t0, t1 = a * stored, a * h0, a * h1
-
-    def coefficients(self, t: float) -> tuple[float, ...]:
-        """Coefficients c0..cK of the whole form, K the latest order, at
-        innermost new bracket coefficient t.  No order follows, so nothing
-        is stored."""
-        last, partial, params = self.last, self.partial, self.params
-        i = len(partial) - 1
-        m = len(last) - 1 - i
-        h = (partial[i] + last[m] * t) / m
-        for i in range(i - 1, -1, -1):
-            m += 1
-            h = (partial[i] + last[m] * (params[i] * h)) / m
-        return (1.0, *reversed(self.hs[0]), h)
+    h = [1.0]
+    m = 0.0  # a float, so that every operation is float by float
+    for k in range(len(u)):  # h[m] for m = k + 1
+        m += 1.0
+        acc = 0.0
+        for j in range(k):
+            acc += (s1j[j] - m) * u[j] * h[k - j]
+        # the term j = m, whose h[0] = 1.0 leaves its product unchanged
+        h.append((acc + (s1j[k] - m) * u[k]) / m)
+    return h

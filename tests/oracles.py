@@ -12,13 +12,14 @@ tuning them.
 
 ``fractional_power``, ``nested_expansion`` and ``nested_evaluate`` are
 the package's former kernels, kept verbatim: each rebuilds its result
-from scratch, level by level, so the incremental expansion, ``evaluate``
-and ``TruncatedSeries.power`` must reproduce them bit for bit.
-``reference_fit`` is the order-by-order fit that runs two full nested
-expansions per order, kept as the reference that the incremental ``fit``
-must reproduce bit for bit.  ``string_coefficients_exact`` is the former
-generator of fluid_string's rational coefficients, a running binomial in
-``Fraction`` arithmetic.
+from scratch, level by level, so ``expand``, ``evaluate`` and
+``TruncatedSeries.power`` must reproduce them bit for bit.
+``reference_fit`` peels the form from the outside in, each level a full
+``fractional_power`` of the remainder at exponent 1/s, as the reference
+that ``fit`` must reproduce bit for bit; ``affine_fit`` solves order by
+order instead, in any arithmetic, as the high-precision oracle.
+``string_coefficients_exact`` is the former generator of fluid_string's
+rational coefficients, a running binomial in ``Fraction`` arithmetic.
 
 ``power_in_domain`` states the nesting power's domain, -1 <= s < 1 and
 s != 0, apart from the package, and ``assert_power_rejected`` checks that
@@ -33,7 +34,6 @@ from fractions import Fraction
 import pytest
 
 from continued_roots.approximant import (
-    SLOPE_TOLERANCE,
     ContinuedRootApproximant,
     finite_order_exponent,
     fit,
@@ -280,10 +280,10 @@ def exact_expansion_coefficient(
 def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
     """Fit a nested-root form whose expansion matches the series exactly.
 
-    Matching proceeds order by order: with A1..A(n-1) fixed, the n-th Taylor
-    coefficient of the nested form is an affine function of A_n, so each
-    step solves one linear equation built from two trial expansions.  The
-    resulting depth equals the series order.
+    With g the series, each level takes p = g**(1/s) at full length: the
+    level's parameter is p[1], and the next g is 1 followed by p[2:]
+    divided by it.  The chain is cut, at the order that cannot be solved,
+    by a parameter that is not finite or by a zero one with levels left.
     """
     coeffs = series.coeffs
     if coeffs[0] != 1.0:
@@ -298,16 +298,38 @@ def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproxi
         raise DegenerateSeriesError(
             "linear coefficient is zero; the parameter chain has no anchor"
         )
-    slope_floor = SLOPE_TOLERANCE * max(1.0, abs(coeffs[1]))
+    g = list(coeffs)
     params: list[float] = []
     for n in range(1, series.order + 1):
-        at_zero = nested_expansion(params + [0.0], power, n)[n]
-        at_one = nested_expansion(params + [1.0], power, n)[n]
-        slope = at_one - at_zero
-        if abs(slope) < slope_floor:
-            raise VanishingSensitivityError(n, slope)
-        params.append((coeffs[n] - at_zero) / slope)
+        p = fractional_power(g, 1.0 / power)
+        a = p[1]
+        if not math.isfinite(a):
+            raise VanishingSensitivityError(n, a)
+        params.append(a)
+        if n < series.order:
+            if a == 0.0:
+                raise VanishingSensitivityError(n + 1, a)
+            g = [1.0] + [x / a for x in p[2:]]
     return ContinuedRootApproximant(power, tuple(params))
+
+
+def affine_fit(coeffs: list, s) -> list:
+    """Parameters A1..AK of the nested form whose expansion matches c0..cK,
+    solved order by order in the arithmetic of the inputs (mpmath numbers
+    for a high-precision fit).
+
+    With A1..A(n-1) fixed, coefficient n is affine in A_n with the slope
+    s**n A1...A(n-1), so A_n is (c_n - its value at A_n = 0) / slope: a
+    different algorithm from the peel of ``fit`` and ``reference_fit``.
+    """
+    params: list = []
+    slope = s
+    for n in range(1, len(coeffs)):
+        at_zero = nested_expansion(params + [0 * s], s, n)[n]
+        a = (coeffs[n] - at_zero) / slope
+        params.append(a)
+        slope *= s * a
+    return params
 
 
 def string_coefficients_exact(order: int) -> list[Fraction]:

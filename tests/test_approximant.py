@@ -36,6 +36,7 @@ from continued_roots import _backend, approximant
 
 from oracles import (
     Bounded,
+    affine_fit,
     assert_power_rejected,
     exact_expansion_coefficient,
     expansion_with_error,
@@ -47,9 +48,7 @@ from oracles import (
 )
 
 # Powers and parameters bounded away from 0 keep the instance family
-# well conditioned at typical depths, though deep draws combining a
-# small power with many tiny parameters can still graze the solver's
-# degeneracy floor; tests reject those where fitting is involved.
+# well conditioned at typical depths.
 nonzero_powers = st.one_of(
     st.floats(min_value=0.1, max_value=0.95),
     st.floats(min_value=-0.95, max_value=-0.1),
@@ -60,9 +59,8 @@ nonzero_params = st.one_of(
 )
 param_lists = st.lists(nonzero_params, min_size=1, max_size=8)
 
-# The incremental fit must reproduce the two-trial reference on any input
-# of the power's domain, the reciprocal power -1 included, and on deep
-# chains whose slopes fall under the degeneracy floor.
+# The fit must reproduce the reference peel on any input of the power's
+# domain, the reciprocal power -1 included.
 any_powers = st.one_of(nonzero_powers, st.just(-1.0))
 # Powers outside the domain -1 <= s < 1, s != 0, which every entry point
 # rejects alike: the ranges and values the bitwise tests once drew there.
@@ -87,11 +85,11 @@ def fit_outcome(fitter, series, s):
     try:
         return [a.hex() for a in fitter(series, s).params]
     except ContinuedRootError as err:
-        slope = getattr(err, "slope", None)
+        cut = getattr(err, "cut", None)
         return (
             type(err),
             getattr(err, "order", None),
-            None if slope is None else slope.hex(),
+            None if cut is None else cut.hex(),
             str(err),
         )
 
@@ -413,6 +411,25 @@ class TestFit:
                 recovered, original, rel_tol=1e-10, abs_tol=1e-14
             )
 
+    @pytest.mark.parametrize("c1", [1e13, 2e13, 1e300])
+    def test_large_linear_coefficient_fits(self, c1):
+        # A1 = c1 / s, whatever the size of c1
+        s = exponent_to_power(2.0)
+        assert fit(TruncatedSeries((1.0, c1)), s).params == (c1 / s,)
+
+    def test_string_depth_twenty_within_float_rounding_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        prob = problem("fluid_string")
+        s = exponent_to_power(prob.target_exponent)
+        coeffs = prob.coefficients(20)
+        params = fit(TruncatedSeries(tuple(coeffs)), s).params
+        assert params[13] == -0.8493983206028883
+        with mpmath.workdps(60):
+            want = affine_fit([mpmath.mpf(c) for c in coeffs], mpmath.mpf(s))
+            # measured: 1.7e-12, the largest over A1..A20
+            for got, a in zip(params, want):
+                assert abs((got - a) / a) <= 2e-12
+
     def test_zero_linear_coefficient_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
             fit(TruncatedSeries((1.0, 0.0, 0.5)), 0.5)
@@ -458,14 +475,7 @@ class TestFit:
         k = len(params)
         original = ContinuedRootApproximant(s, tuple(params))
         series = original.expand(k)
-        try:
-            refit = fit(series, s)
-        except VanishingSensitivityError:
-            # deep draws with small |s| and tiny parameters can push an
-            # affine slope under the solver's degeneracy floor; that is
-            # the documented boundary of the solvable family, not a
-            # round-trip failure
-            assume(False)
+        refit = fit(series, s)
         assert refit.order == k
         back = refit.expand(k)
         for want, got in zip(series.coeffs, back.coeffs):
@@ -542,8 +552,9 @@ class TestFitMatchesReference:
             series = TruncatedSeries(tuple(prob.coefficients(k)))
             assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
 
-    def test_string_depth_fourteen_error_matches(self):
-        # the slope s**14 A1...A13 is 3.8e-15, under the absolute floor
+    def test_string_depth_fourteen_matches(self):
+        # the slope s**14 A1...A13 is 3.8e-15, small but real: A14 is
+        # negative, as in exact arithmetic
         prob = problem("fluid_string")
         series = TruncatedSeries(tuple(prob.coefficients(14)))
         got = fit_outcome(fit, series, exponent_to_power(prob.target_exponent))
@@ -551,7 +562,23 @@ class TestFitMatchesReference:
             reference_fit, series, exponent_to_power(prob.target_exponent)
         )
         assert got == want
-        assert got[:2] == (VanishingSensitivityError, 14)
+        assert got[13] == (-0.8493983206028883).hex()
+
+    @pytest.mark.parametrize(
+        "s, coeffs, order",
+        [
+            # A1 = -1.1e-308, and 2.0 / A1 leaves the float range
+            (-1.0, (1.0, 1.1125369292536007e-308, 2.0), 2),
+            # A1 = 2e308 itself leaves the float range
+            (0.5, (1.0, 1e308, 0.1), 1),
+        ],
+    )
+    def test_overflow_cuts_the_chain_at_its_order(self, s, coeffs, order):
+        series = TruncatedSeries(coeffs)
+        got = fit_outcome(fit, series, s)
+        assert got == fit_outcome(reference_fit, series, s)
+        assert got[:2] == (VanishingSensitivityError, order)
+        assert f"parameter {order} leaves the float range" in got[3]
 
     def test_zero_parameter_error_matches(self):
         # A2 fits to exactly zero, so the cubic slope is exactly zero
@@ -740,13 +767,21 @@ class TestFitSequence:
                 prefix.params = ()
 
     def test_failure_only_past_the_deepest_order(self):
+        # A2 fits to exactly zero, which cuts the chain at order 3
+        series = ContinuedRootApproximant(0.5, (1.0, 0.0, 0.5)).expand(5)
+        assert [f.order for f in fit_sequence(series, 0.5, range(1, 3))] == [1, 2]
+        with pytest.raises(VanishingSensitivityError) as excinfo:
+            fit_sequence(series, 0.5, range(1, 6))
+        assert excinfo.value.order == 3
+
+    def test_string_fits_past_depth_fourteen(self):
         prob = problem("fluid_string")
         series = TruncatedSeries(tuple(prob.coefficients(16)))
         s = exponent_to_power(prob.target_exponent)
-        assert len(fit_sequence(series, s, range(2, 14))) == 12
-        with pytest.raises(VanishingSensitivityError) as excinfo:
-            fit_sequence(series, s, range(2, 17))
-        assert excinfo.value.order == 14
+        fits = fit_sequence(series, s, range(2, 17))
+        assert [f.order for f in fits] == list(range(2, 17))
+        assert all(a > 0.0 for a in fits[11].params)
+        assert fits[12].params[13] == -0.8493983206028883
 
 
 # Shallow enough that every prefix of every draw expands quickly.
@@ -756,10 +791,8 @@ shallow_coefficients = st.lists(
 
 
 class TestFittedExpansion:
-    """A fitted form keeps the expansion its fit computed.  Its ``expand``
-    must give the bits of a hand-built form with the same fields, which
-    walks the recurrence again, and a copy must behave as the hand-built
-    form in every respect."""
+    """A fitted form, its prefixes and their copies must expand with the
+    bits of a hand-built form with the same fields."""
 
     @staticmethod
     def assert_expands_as_built(form, depth):
@@ -799,29 +832,6 @@ class TestFittedExpansion:
         assert type(fitted).__slots__ == ("power", "params")
         with pytest.raises(AttributeError, match="cannot assign"):
             fitted.power = 0.5
-
-    def test_walks_only_past_the_fit(self, monkeypatch):
-        orders = []
-        kernel = approximant.nested_expansion
-
-        def wrapper(params, s, order):
-            orders.append(order)
-            return kernel(params, s, order)
-
-        monkeypatch.setattr(approximant, "nested_expansion", wrapper)
-        series = TruncatedSeries((1.0, 1.0, -0.125, 0.03125))
-        fitted = fit(series, 0.5)
-        prefix = fit_sequence(series, 0.5, [2])[0]
-        for n in range(4):
-            fitted.expand(n)
-        prefix.expand(2)
-        assert orders == []
-        fitted.expand(4)
-        prefix.expand(3)
-        copy.copy(fitted).expand(3)
-        pickle.loads(pickle.dumps(fitted)).expand(1)
-        ContinuedRootApproximant(0.5, fitted.params).expand(3)
-        assert orders == [4, 3, 3, 1, 3]
 
 
 class TestEvaluate:

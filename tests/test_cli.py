@@ -120,6 +120,15 @@ class TestFit:
         assert payload["s"] == 0.5
         assert payload["A"] == [pytest.approx(1.0, rel=1e-14)]
 
+    @pytest.mark.parametrize("c1", [1e13, 2e13, 1e300])
+    def test_large_linear_coefficient_fits(self, capsys, tmp_path, c1):
+        # A1 = c1 / s, whatever the size of c1
+        path = write_problem(tmp_path, coefficients=[1.0, c1], beta=2.0)
+        code, out = run_cli(capsys, "fit", "--file", path, "--order", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["A"] == [c1 / payload["s"]]
+
     def test_negative_param_nulls_amplitude(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, -0.5])
         code, out = run_cli(capsys, "fit", "--file", path, "--order", "1")
@@ -270,12 +279,17 @@ class TestDepthCap:
         }
 
     def test_depth_at_cap_is_fitted(self, capsys):
-        # the string fit stops at depth 14, so the cap is not what fails
+        # the string fit runs to order 189, where a parameter leaves the
+        # float range, so the cap is not what fails
         code, out = run_cli(
             capsys, "fit", "--problem", "fluid_string", "--order", str(MAX_DEPTH)
         )
         assert code == 1
-        assert strict_json(out)["error"] == "vanishing-sensitivity"
+        assert strict_json(out) == {
+            "error": "vanishing-sensitivity",
+            "message": "parameter 189 leaves the float range (nan); "
+            "cannot solve for it",
+        }
 
 
 class TestProblemFileValidation:
@@ -471,13 +485,13 @@ class TestTable:
         assert out == want
 
     def test_human_and_csv_bytes_are_pinned(self, capsys):
-        # ok rows 2..13, then failed rows 14 and 15; the CSV module ends
-        # lines with CRLF
+        # ok rows 2..13, then rows 14 and 15, which keep their exponent and
+        # fail on the negative A14; the CSV module ends lines with CRLF
         failure = (
-            "coefficient of x^14 is insensitive to parameter 14 "
-            "(affine slope 3.768e-15); cannot solve for it"
+            "amplitude requires strictly positive parameters; "
+            "parameter 14 is -0.8493983206028883"
         )
-        blank = " " * 60  # four empty 14-wide cells and their separators
+        blank = " " * 15  # an empty 14-wide cell and its separator
         human = [
             "problem: fluid_string",
             "power s = 0.666667, target exponent = 2.000000, "
@@ -495,39 +509,39 @@ class TestTable:
             "  11       0.067686       1.976878       0.079199       2.713934",
             "  12       0.066438       1.984585       0.079123       2.615381",
             "  13       0.065030       1.989724       0.078363       1.629280",
-            f"  14{blank}  FAILED: {failure}",
-            f"  15{blank}  FAILED: {failure}",
+            f"  14{blank}       1.993149{blank * 2}  FAILED: {failure}",
+            f"  15{blank}       1.995433{blank * 2}  FAILED: {failure}",
             "known amplitude = 0.062500 (observable 0.077106)",
             "published observable = 0.077106",
         ]
         csv_lines = [
             "k,B_k,beta_k,observable,percent_error",
-            "2,0.2959191570631201,1.1111111111111112,0.04770466426219485,"
-            "-38.13128898168432",
-            "3,0.19315324994166902,1.4074074074074072,0.06136166203064043,"
-            "-20.419376291768522",
-            "4,0.14138095166980486,1.604938271604938,0.07059775375777982,"
-            "-8.440985942674539",
-            "5,0.11281367965709177,1.7366255144032918,0.07615498542032938,"
-            "-1.233750232924824",
-            "6,0.09583650170717721,1.8244170096021946,0.07909674070815152,"
-            "2.5814450022527247",
-            "7,0.08513160621241825,1.8829446730681296,0.08033642547111705,"
-            "4.189205994598821",
-            "8,0.07804733410263932,1.921963115378753,0.08053335223283613,"
-            "4.444602507728157",
-            "9,0.07317680768588784,1.947975410252502,0.08014107831637332,"
-            "3.935858091369404",
-            "10,0.06980112479196754,1.9653169401683346,0.0795402262225803,"
-            "3.1566063110546994",
-            "11,0.06768611983039334,1.9768779601122228,0.07919889796119878,"
-            "2.7139338828466197",
-            "12,0.06643842136403501,1.9845853067414818,0.0791229074550363,"
-            "2.6153809480631063",
-            "13,0.06503044839898973,1.9897235378276545,0.07836256142061135,"
-            "1.6292796976862256",
-            "14,,,,",
-            "15,,,,",
+            "2,0.2959191570631199,1.1111111111111112,0.047704664262194815,"
+            "-38.131288981684364",
+            "3,0.19315324994166885,1.4074074074074072,0.061361662030640376,"
+            "-20.419376291768586",
+            "4,0.1413809516698047,1.604938271604938,0.07059775375777974,"
+            "-8.44098594267465",
+            "5,0.11281367965709162,1.7366255144032918,0.07615498542032927,"
+            "-1.2337502329249572",
+            "6,0.09583650170717707,1.8244170096021946,0.0790967407081514,"
+            "2.5814450022525692",
+            "7,0.08513160621241812,1.8829446730681296,0.08033642547111693,"
+            "4.189205994598666",
+            "8,0.0780473341026392,1.921963115378753,0.08053335223283599,"
+            "4.444602507727979",
+            "9,0.07317680768588773,1.947975410252502,0.0801410783163732,"
+            "3.9358580913692487",
+            "10,0.06980112479196746,1.9653169401683346,0.07954022622258018,"
+            "3.156606311054566",
+            "11,0.06768611983039328,1.9768779601122228,0.07919889796119871,"
+            "2.713933882846531",
+            "12,0.06643842136403492,1.9845853067414818,0.0791229074550362,"
+            "2.615380948062973",
+            "13,0.06503044839898947,1.9897235378276545,0.07836256142061103,"
+            "1.6292796976858037",
+            "14,,1.9931490252184363,,",
+            "15,,1.9954326834789575,,",
         ]
         argv = ["table", "--problem", "fluid_string", "--kmax", "15", "--format"]
         assert run_cli(capsys, *argv, "table") == (1, "\n".join(human) + "\n")

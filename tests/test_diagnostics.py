@@ -552,22 +552,56 @@ class TestDepthTable:
         )
         assert depth_table(wall, 13) == report
 
+    @staticmethod
+    def cut(coeffs, beta=1.0):
+        """A problem of fixed coefficients whose fit may stop early."""
+        return BenchmarkProblem(
+            name="cut",
+            target_exponent=beta,
+            observable_prefactor=1.0,
+            match_point=1.0,
+            max_order=len(coeffs) - 1,
+            known_amplitude=None,
+            observable_exact=None,
+            _generator=lambda order: coeffs[: order + 1],
+        )
+
     def test_failure_fails_every_deeper_row_with_its_own_error(self):
+        # at s = 1/2, 2 c3 = 2e308 leaves the float range in A3's level
+        coeffs = [1.0, 0.5, 0.1, 1e308, 0.1, 0.01]
+        cut = self.cut(coeffs)
+        power = exponent_to_power(cut.target_exponent)
+        report = depth_table(cut, 5)
+        rows = report.rows
+        assert [row.order for row in rows] == [2, 3, 4, 5]
+        shallow = depth_table(cut, 2)
+        assert shallow.rows == rows[:1]
+        assert not rows[0].failed
+        for row in rows[1:]:
+            with pytest.raises(ContinuedRootError) as excinfo:
+                fit(TruncatedSeries(tuple(coeffs[: row.order + 1])), power)
+            assert row.error == str(excinfo.value)
+            assert "parameter 3 leaves the float range" in row.error
+            assert (row.amplitude, row.exponent, row.observable) == (None,) * 3
+            assert row.percent_error is None
+
+    def test_negative_parameter_fails_every_deeper_row_as_realness(self):
+        # fluid_string's A14 is negative, as in exact arithmetic
         wall = problem("fluid_string")
-        power = exponent_to_power(wall.target_exponent)
         report = depth_table(wall, 16)
         rows = report.rows
         assert [row.order for row in rows] == list(range(2, 17))
         shallow = depth_table(wall, 13)
         assert shallow.rows == rows[:12]
-        assert shallow._values()[1:] == report._values()[1:]
         for row in rows[12:]:
-            with pytest.raises(ContinuedRootError) as excinfo:
-                fit(TruncatedSeries(tuple(wall.coefficients(row.order))), power)
-            assert row.error == str(excinfo.value)
-            assert "x^14" in row.error
-            assert (row.amplitude, row.exponent, row.observable) == (None,) * 3
-            assert row.percent_error is None
+            assert row.error == (
+                "amplitude requires strictly positive parameters; "
+                "parameter 14 is -0.8493983206028883"
+            )
+            assert row.exponent == finite_order_exponent(
+                exponent_to_power(wall.target_exponent), row.order
+            )
+            assert (row.amplitude, row.observable, row.percent_error) == (None,) * 3
 
     def test_degenerate_series_fails_every_row(self):
         flat = BenchmarkProblem(
@@ -585,31 +619,21 @@ class TestDepthTable:
         assert all("linear coefficient is zero" in row.error for row in rows)
 
     def test_stop_at_order_one_fails_every_row_with_the_fit_error(self):
-        # c1 = 1e13 puts the slope floor at 1, above the order-1 slope s
-        coeffs = [1.0, 1e13, 0.1, 0.01]
-        steep = BenchmarkProblem(
-            name="steep",
-            target_exponent=2.0,
-            observable_prefactor=1.0,
-            match_point=1.0,
-            max_order=3,
-            known_amplitude=None,
-            observable_exact=None,
-            _generator=lambda order: coeffs[: order + 1],
-        )
-        rows = depth_table(steep, 3).rows
+        # at s = 1/2, A1 = c1 / s = 2e308 leaves the float range
+        coeffs = [1.0, 1e308, 0.1, 0.01]
+        rows = depth_table(self.cut(coeffs), 3).rows
         assert [row.order for row in rows] == [2, 3]
         for row in rows:
             series = TruncatedSeries(tuple(coeffs[: row.order + 1]))
             with pytest.raises(ContinuedRootError) as excinfo:
-                fit(series, exponent_to_power(2.0))
+                fit(series, exponent_to_power(1.0))
             assert row.error == str(excinfo.value)
-            assert "x^1 " in row.error
+            assert "parameter 1 leaves" in row.error
 
-    @pytest.mark.parametrize("kmax, calls", [(13, 1), (16, 2)])
-    def test_runs_through_fit_sequence(self, monkeypatch, kmax, calls):
-        # a table that fits needs one sequence; fluid_string's fit stops at
-        # order 14, and the depths below it are a second, shallower one
+    @pytest.mark.parametrize("kmax", [13, 16])
+    def test_runs_through_fit_sequence(self, monkeypatch, kmax):
+        # a table that fits needs one sequence; a fit that stops early
+        # needs a second, shallower one for the depths below the stop
         seen = []
 
         def counted(*args):
@@ -618,8 +642,12 @@ class TestDepthTable:
 
         monkeypatch.setattr(diagnostics, "fit_sequence", counted)
         report = depth_table(problem("fluid_string"), kmax)
-        assert len(seen) == calls
+        assert len(seen) == 1
         assert [row.failed for row in report.rows].count(False) == 12
+        seen.clear()
+        report = depth_table(self.cut([1.0, 0.5, 0.1, 1e308, 0.1]), 4)
+        assert len(seen) == 2
+        assert [row.failed for row in report.rows] == [False, True, True]
 
     def test_kmax_domain(self):
         with pytest.raises(ValueError, match="kmax"):

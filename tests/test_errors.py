@@ -20,10 +20,15 @@ CASES = [
         "bracket at depth 3 has a non-positive base at x = 1; the value is not real",
     ),
     (
-        VanishingSensitivityError(14, 3.8e-15),
-        {"order": 14, "slope": 3.8e-15},
-        "coefficient of x^14 is insensitive to parameter 14 "
-        "(affine slope 3.800e-15); cannot solve for it",
+        VanishingSensitivityError(3, -0.0),
+        {"order": 3, "cut": -0.0},
+        "coefficient of x^3 is insensitive to parameter 3: "
+        "parameter 2 is -0.0; cannot solve for it",
+    ),
+    (
+        VanishingSensitivityError(189, float("inf")),
+        {"order": 189, "cut": float("inf")},
+        "parameter 189 leaves the float range (inf); cannot solve for it",
     ),
     (
         UnknownProblemError("nope", ("a", "b")),
@@ -31,7 +36,12 @@ CASES = [
         "unknown problem 'nope'; valid names: a, b",
     ),
 ]
-IDS = [type(err).__name__ for err, _, _ in CASES]
+IDS = [
+    "ComplexBreakdownError",
+    "VanishingSensitivityError",
+    "VanishingSensitivityError-overflow",
+    "UnknownProblemError",
+]
 
 
 @pytest.mark.parametrize("err, fields, message", CASES, ids=IDS)

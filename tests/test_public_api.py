@@ -86,7 +86,7 @@ def test_readme_quickstart_runs():
         exec(compile(code, "README.md", "exec"), {})
     lines = out.getvalue().splitlines()
     assert [line.split()[0] for line in lines[:4]] == ["2", "3", "4", "5"]
-    assert "x^14" in lines[4]
+    assert "parameter 14 is -0.8493983206028883" in lines[4]
 
 
 def test_ci_installs_the_test_extra():
