@@ -82,12 +82,9 @@ def finite_order_exponent(power: float, order: int) -> float:
         raise ValueError(f"order {order} leaves the float range") from None
 
 
-def _require_positive(
-    params: Sequence[float], subject: str, start: int = 0
-) -> None:
-    """Raise RealnessError naming the first parameter after the first
-    ``start`` that is not > 0."""
-    for n, a in enumerate(params[start:], start + 1):
+def _require_positive(params: Sequence[float], subject: str) -> None:
+    """Raise RealnessError naming the first parameter that is not > 0."""
+    for n, a in enumerate(params, 1):
         if not a > 0.0:
             raise RealnessError(
                 f"{subject} requires strictly positive parameters; "
@@ -97,19 +94,25 @@ def _require_positive(
 
 def _power_law(
     params: Sequence[float], s: float, done: int = 0, b: float = 1.0
-) -> AmplitudeResult:
-    """Large-argument law of the form with these parameters and power s.
+) -> float:
+    """Amplitude B_k = prod A_n**(s**n) of these parameters and power s,
+    the one product loop of ``amplitude()`` and ``sequence_report``.
 
-    ``b`` is the product of A_n**(s**n) over the first ``done`` parameters,
-    which must be known to be positive.  The rest are checked, and then
-    their factors are multiplied in, outermost first, so B_k continues from
-    B_done with the operations that build it from 1.  Raises ValueError,
-    naming the depth, when a factor (a subnormal parameter under s near -1)
-    or the product leaves the float range.
+    ``b`` is B over the first ``done`` parameters, which must be known to
+    be positive.  The rest are checked, and then their factors are
+    multiplied in, outermost first, so B_k continues from B_done with the
+    operations that build it from 1, at one factor per new parameter.
+    Raises ValueError, naming the depth, when a factor (a subnormal
+    parameter under s near -1) or the product leaves the float range.
     """
-    _require_positive(params, "amplitude", done)
+    new = params[done:]
+    for a in new:
+        if not a > 0.0:
+            _require_positive(params, "amplitude")  # raises, naming the first
+    n = done
     try:
-        for n, a in enumerate(params[done:], done + 1):
+        for a in new:
+            n += 1
             b *= a ** (s**n)
             if b == math.inf:
                 raise ValueError(f"the amplitude at depth {n} leaves the float range")
@@ -117,7 +120,7 @@ def _power_law(
         raise ValueError(
             f"the amplitude factor at depth {n} leaves the float range"
         ) from None
-    return AmplitudeResult(b, finite_order_exponent(s, len(params)), len(params))
+    return b
 
 
 class ExponentTarget(Record):
@@ -156,16 +159,20 @@ class AmplitudeResult(Record):
         Raises ValueError, naming the depth, when the conversion or its
         product with a finite B_k leaves the float range.
         """
-        try:
-            estimate = self.amplitude * match_point ** (self.exponent - target_exponent)
-            if not math.isinf(estimate) or math.isinf(self.amplitude):
-                return estimate
-        except OverflowError:
-            pass
-        raise ValueError(
-            f"the estimate at depth {self.order} leaves the float range "
-            f"at match point {match_point!r}"
-        )
+        return _estimate(*self._values(), target_exponent, match_point)
+
+
+def _estimate(b: float, beta: float, k: int, target: float, point: float) -> float:
+    """``AmplitudeResult(b, beta, k).estimate(target, point)``, unbuilt."""
+    try:
+        estimate = b * point ** (beta - target)
+        if not math.isinf(estimate) or math.isinf(b):
+            return estimate
+    except OverflowError:
+        pass
+    raise ValueError(
+        f"the estimate at depth {k} leaves the float range at match point {point!r}"
+    )
 
 
 class ContinuedRootApproximant(Record):
@@ -211,8 +218,8 @@ class ContinuedRootApproximant(Record):
         Raises ComplexBreakdownError, naming the offending depth, if a
         negative parameter drives some bracket base negative under a
         non-integer power, and ValueError, naming x, if x is negative or not
-        finite.  No bracket's power overflows: a positive base is at least
-        2**-53, and -1 <= s < 1.
+        finite, or, as ``nested_evaluate`` says, where a base overflows and
+        logs cannot recover the value.
         """
         if not 0.0 <= x < math.inf:
             if x < 0.0:
@@ -229,14 +236,17 @@ class ContinuedRootApproximant(Record):
         ValueError, naming the depth, when a factor or the product leaves the
         float range.
         """
-        return _power_law(self.params, self.power)
+        b, k = _power_law(self.params, self.power), len(self.params)
+        return AmplitudeResult(b, finite_order_exponent(self.power, k), k)
 
     def asymptote(self, x: float) -> float:
-        """Value of the large-argument power law at a point x > 0."""
-        if not x > 0.0:
-            raise ValueError(f"asymptote requires x > 0, got {x!r}")
-        result = self.amplitude()
-        return result.amplitude * x**result.exponent
+        """B_k * x**beta_k, the large-argument law at a point x > 0, as
+        ``amplitude().estimate(0.0, x)``, whose ValueError names x."""
+        if not 0.0 < x < math.inf:
+            if x <= 0.0:
+                raise ValueError(f"asymptote requires x > 0, got {x!r}")
+            raise ValueError(f"argument must be finite, got {x!r}")
+        return self.amplitude().estimate(0.0, x)
 
     def to_rational(self) -> tuple[list[float], list[float]]:
         """Collapse the s = -1 form into a ratio of polynomials.
@@ -290,17 +300,37 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
 
     Raises ComplexBreakdownError with the 1-based depth of the first bracket
     whose base is negative under a non-integer power or zero under a
-    negative power.
+    negative power.  From a base that overflows outward, the brackets are
+    evaluated in logs, log h = s log(1 + e**t) with t = log A + log x +
+    log h_inner, which tends to the law B_k x**beta_k; ValueError names x
+    unless every base there is positive and the value is in the float range.
     """
     h, depth = 1.0, len(params)
     for a in reversed(params):
         u = 1.0 + a * x * h
-        if not u > 0.0:
+        if not 0.0 < u < _INF:
             if (u < 0.0 and not float(s).is_integer()) or (u == 0.0 and s < 0.0):
                 raise ComplexBreakdownError(depth, x)
+            if abs(u) == _INF:
+                break
         h = u**s
         depth -= 1
-    return h
+    else:
+        return h
+    if not (h > 0.0 and all(a > 0.0 for a in params[:depth])):
+        message = "leaves the float range and is not known to be positive"
+        raise ValueError(f"a bracket base at x = {x!r} {message}")
+    log_x, log_h = math.log(x), math.log(h)
+    for a in reversed(params[:depth]):  # the overflowed bracket outward
+        t = math.log(a) + log_x + log_h
+        log_h = s * (max(t, 0.0) + math.log1p(math.exp(-abs(t))))
+    try:
+        return math.exp(log_h)
+    except OverflowError:
+        raise ValueError(f"the value at x = {x!r} leaves the float range") from None
+
+
+_INF = math.inf  # a module global: faster to load per bracket than math.inf
 
 
 def _fit_power(series: TruncatedSeries, power: float) -> float:
@@ -366,12 +396,16 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
 
 
 def _form(s: float, params: tuple[float, ...]) -> ContinuedRootApproximant:
-    """The form of fitted parameters: the fields are floats already, so
-    the constructor's coercion and checks are skipped."""
+    """The form of fitted float parameters, stored through the slots' setters
+    (faster than ``object.__setattr__``) without the constructor's checks."""
     fitted = object.__new__(ContinuedRootApproximant)
-    _set(fitted, "power", s)
-    _set(fitted, "params", params)
+    _set_power(fitted, s)
+    _set_params(fitted, params)
     return fitted
+
+
+_set_power = ContinuedRootApproximant.power.__set__
+_set_params = ContinuedRootApproximant.params.__set__
 
 
 def fit_sequence(

@@ -19,10 +19,10 @@ from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
     _check_power,
+    _estimate,
     _power_law,
     _require_positive,
     exponent_to_power,
-    finite_order_exponent,
     fit_sequence,
 )
 from .corpus import BenchmarkProblem
@@ -185,8 +185,9 @@ def sequence_report(
     for bit, but B_k is carried along the sequence: when an approximant has
     the previous one's power and its parameters extend the previous ones,
     B_k continues from the previous B with one factor A_n**(s**n) per new
-    parameter.  So a prefix chain such as ``fit_sequence`` returns costs one
-    factor per parameter, not one per parameter and row.  Any other
+    parameter (``_power_law``), beta_k is computed in closed form, and only
+    the ``ReportRow`` is built.  So a prefix chain such as ``fit_sequence``
+    returns costs one factor and a constant per depth.  Any other
     approximant restarts the product at 1; once a chain meets a parameter
     that is not > 0, each deeper row of it fails naming that parameter.
 
@@ -208,11 +209,13 @@ def sequence_report(
     for approx in approximants:
         if approx.power != power or approx.params[: len(chain)] != chain:
             done, b = 0, 1.0  # not a deeper form of the last one: restart
-        chain, power, k = approx.params, approx.power, approx.order
+        chain, power, k = approx.params, approx.power, len(approx.params)
+        # finite_order_exponent(power, k), whose check the form passed
+        exponent = (power - power ** (k + 1)) / (1.0 - power)
         try:
-            result = _power_law(chain, power, done, b)
-            done, b = len(chain), result.amplitude
-            estimate = result.estimate(target.exponent, match_point)
+            b = _power_law(chain, power, done, b)
+            done = k
+            estimate = _estimate(b, exponent, k, target.exponent, match_point)
             observable = observable_prefactor * estimate
             if not math.isfinite(observable):
                 raise ValueError(f"the observable at depth {k} leaves the float range")
@@ -226,12 +229,9 @@ def sequence_report(
         except (ContinuedRootError, ValueError) as err:
             # The exponent depends only on power and depth, so report it
             # even when the amplitude is not real.
-            exponent = finite_order_exponent(power, k)
             rows.append(ReportRow(k, None, exponent, None, None, str(err)))
             continue
-        rows.append(
-            ReportRow(k, result.amplitude, result.exponent, observable, percent)
-        )
+        rows.append(ReportRow(k, b, exponent, observable, percent))
     return ExtrapolationReport(
         rows=tuple(rows),
         target=target,

@@ -8,7 +8,7 @@ simply unknown rather than zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from ._record import Record, _set
 
@@ -38,37 +38,6 @@ class TruncatedSeries(Record):
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, n: int) -> float:
-        return self.coeffs[n]
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated to the common order.
-
-        Both operands must have the same order; mixing orders would silently
-        drop information, so it is an error instead.
-        """
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if other.order != self.order:
-            raise ValueError(
-                f"cannot multiply series of different orders "
-                f"({self.order} and {other.order})"
-            )
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        out = [0.0] * n
-        for i in range(n):
-            ai = a[i]
-            for j in range(n - i):
-                out[i + j] += ai * b[j]
-        return TruncatedSeries(tuple(out))
 
     def power(self, exponent: float) -> "TruncatedSeries":
         """Raise the series to a real power.

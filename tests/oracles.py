@@ -21,6 +21,10 @@ order instead, in any arithmetic, as the high-precision oracle.
 ``string_coefficients_exact`` is the former generator of fluid_string's
 rational coefficients, a running binomial in ``Fraction`` arithmetic.
 
+``product`` is the Cauchy product of two series of one order, truncated
+to that order, the inverse check of ``TruncatedSeries.power``:
+u**s * u**-s = 1.
+
 ``power_in_domain`` states the nesting power's domain, -1 <= s < 1 and
 s != 0, apart from the package, and ``assert_power_rejected`` checks that
 every entry point that takes a power rejects one outside it alike.
@@ -69,6 +73,28 @@ def assert_power_rejected(power) -> None:
         assert "_check_power" in [entry.name for entry in excinfo.traceback]
         messages.add(str(excinfo.value))
     assert len(messages) == 1, messages
+
+
+def product(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:
+    """Cauchy product, truncated to the common order.
+
+    Both operands must be series of the same order; mixing orders would
+    silently drop information, so it is an error instead.
+    """
+    if not (isinstance(left, TruncatedSeries) and isinstance(right, TruncatedSeries)):
+        raise TypeError("the product takes two truncated series")
+    if left.order != right.order:
+        raise ValueError(
+            f"cannot multiply series of different orders "
+            f"({left.order} and {right.order})"
+        )
+    a, b = left.coeffs, right.coeffs
+    n = len(a)
+    out = [0.0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return TruncatedSeries(tuple(out))
 
 
 def series_log(u: list[float]) -> list[float]:

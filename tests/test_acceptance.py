@@ -170,7 +170,7 @@ def test_criterion_6_round_trip_suite():
             # the k-th coefficient is affine in the k-th parameter
             head = params[:-1]
             lo, mid, hi = (
-                ContinuedRootApproximant(s, (*head, t)).expand(k)[k]
+                ContinuedRootApproximant(s, (*head, t)).expand(k).coeffs[k]
                 for t in (0.0, 1.0, 2.0)
             )
             assert math.isclose(

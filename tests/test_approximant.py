@@ -341,15 +341,15 @@ class TestExpand:
         # quadratic coefficient s*A1*A2*s + s*(s-1)/2*A1**2
         s, a1, a2 = 0.7, 1.3, -0.4
         series = ContinuedRootApproximant(s, (a1, a2)).expand(2)
-        assert series[1] == pytest.approx(s * a1, rel=1e-14)
+        assert series.coeffs[1] == pytest.approx(s * a1, rel=1e-14)
         expected_2 = s * a1 * a2 * s + s * (s - 1.0) / 2.0 * a1 * a1
-        assert series[2] == pytest.approx(expected_2, rel=1e-13)
+        assert series.coeffs[2] == pytest.approx(expected_2, rel=1e-13)
 
     def test_linear_coefficient_ignores_deeper_params(self):
         s = 2.0 / 3.0
         for inner in (0.0, 1.0, 7.5):
             series = ContinuedRootApproximant(s, (0.375, inner)).expand(1)
-            assert series[1] == pytest.approx(0.25, abs=1e-15)
+            assert series.coeffs[1] == pytest.approx(0.25, abs=1e-15)
 
     def test_beyond_depth_is_induced_not_zero(self):
         series = ContinuedRootApproximant(0.5, (1.0,)).expand(3)
@@ -406,7 +406,7 @@ class TestFit:
         series = TruncatedSeries(tuple(coeffs))
         approx = fit(series, exponent_to_power(2.0))
         back = approx.expand(13)
-        for original, recovered in zip(coeffs, back):
+        for original, recovered in zip(coeffs, back.coeffs):
             assert math.isclose(
                 recovered, original, rel_tol=1e-10, abs_tol=1e-14
             )
@@ -492,7 +492,7 @@ class TestFit:
         # for expansion even though it is degenerate for fitting
         lo, mid, hi = (
             Bounded(
-                ContinuedRootApproximant(s, (*params[:-1], trial)).expand(n)[n],
+                ContinuedRootApproximant(s, (*params[:-1], trial)).expand(n).coeffs[n],
                 expansion_with_error(params[:-1] + [trial], s, n)[1],
             )
             for trial in (0.0, 1.0, 2.0)
@@ -509,7 +509,7 @@ class TestFit:
         # the bound that the affine check relies on, for the bits that
         # expand computes, against exact rational arithmetic on the inputs
         n = len(params)
-        got = ContinuedRootApproximant(s, tuple(params)).expand(n)[n]
+        got = ContinuedRootApproximant(s, tuple(params)).expand(n).coeffs[n]
         value, bound = expansion_with_error(params, s, n)
         assert value.hex() == got.hex()
         assert abs(Fraction(got) - exact_expansion_coefficient(params, s, n)) <= bound
@@ -906,6 +906,81 @@ class TestEvaluate:
             value = 1.0 + a * x * value**s
         assert approx.evaluate(x) == pytest.approx(value**s, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "s, params, x",
+        [
+            # the direct loop gave 1e-150 (true 1.778e-114) and NaN (true
+            # 9.306e-78): an infinite base under s < 0 gave 0, and then 0 or
+            # inf * 0 in the next bracket
+            (-0.5, (1.0, 1.0, 1e10), 1e300),
+            (-0.5, (2.0, 3.0), 1e308),
+            # fluid_string at depth 3: the direct loop gave inf
+            (2 / 3, (0.375, 0.28125, 0.23697916666666666), 1e200),
+            (-1.0, (0.5, 2.0, 1e300, 4.0), 1e300),
+            (0.9, (1e-3, 1e5), 1e305),
+        ]
+        + [
+            (
+                rng.choice([0.5, 2 / 3, -0.5, -1.0, rng.uniform(-0.95, 0.95)]),
+                tuple(
+                    rng.uniform(0.05, 2.0) * 10 ** rng.uniform(-3, 30)
+                    for _ in range(rng.randint(1, 12))
+                ),
+                10 ** rng.uniform(250, 308),
+            )
+            for rng in [random.Random(22)]
+            for _ in range(40)
+        ],
+    )
+    def test_overflowing_bracket_matches_mpmath(self, s, params, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            h = mpmath.mpf(1)
+            for a in reversed(params):
+                h = (1 + mpmath.mpf(a) * mpmath.mpf(x) * h) ** mpmath.mpf(s)
+            approx = ContinuedRootApproximant(s, params)
+            if h > sys.float_info.max:
+                message = f"the value at x = {x!r} leaves the float range"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    approx.evaluate(x)
+                return
+            # each bracket's log is off by a few u times |log A| + |log x|
+            # + |log h| <= 3 * 710, and |s| <= 1 does not amplify it
+            tol = 4 * len(params) * 3 * 710 * 2.0**-53
+            got = approx.evaluate(x)
+            assert abs(got - h) <= tol * h
+
+    def test_value_beyond_float_range_names_x(self):
+        # x**2.439 at x = 1e300: the second bracket overflows, and so does
+        # the value
+        approx = ContinuedRootApproximant(0.9, (1.0, 1.0, 1.0))
+        with pytest.raises(
+            ValueError, match=r"^the value at x = 1e\+300 leaves the float range$"
+        ):
+            approx.evaluate(1e300)
+
+    @pytest.mark.parametrize(
+        "s, params",
+        [
+            # the base 1 + 3e308 overflows, and A1 < 0 lies outside it
+            (-1.0, (-2.0, 3.0)),
+            # the base 1 - 3e308 overflows to -inf under the integer power
+            (-1.0, (1.0, -3.0)),
+        ],
+    )
+    def test_overflowing_base_of_unknown_sign_names_x(self, s, params):
+        message = (
+            r"^a bracket base at x = 1e\+308 leaves the float range "
+            "and is not known to be positive$"
+        )
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(s, params).evaluate(1e308)
+
+    def test_overflowing_negative_base_under_fractional_power_breaks_down(self):
+        with pytest.raises(ComplexBreakdownError) as excinfo:
+            ContinuedRootApproximant(0.5, (1.0, -3.0)).evaluate(1e308)
+        assert excinfo.value.depth == 2
+
 
 class TestAmplitude:
     def test_first_benchmark_depth_two(self):
@@ -990,6 +1065,36 @@ class TestAsymptote:
     def test_positive_argument_required(self):
         with pytest.raises(ValueError, match="x > 0"):
             ContinuedRootApproximant(0.4, (2.5,)).asymptote(0.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, x):
+        # as evaluate rejects it; the law gave inf (or 0.0) at inf
+        for s in (0.4, -0.5):
+            message = f"^argument must be finite, got {x!r}$"
+            with pytest.raises(ValueError, match=message):
+                ContinuedRootApproximant(s, (2.5, 1.5625)).asymptote(x)
+
+    @pytest.mark.parametrize(
+        "s, params, x",
+        [
+            # x**2.439 at 1e300: the power itself overflowed, a bare
+            # OverflowError
+            (0.9, (1.0, 1.0, 1.0), 1e300),
+            # B = 1e270 and x**0.9 = 1e90: the product is inf
+            (0.9, (1e300,), 1e100),
+        ],
+    )
+    def test_law_beyond_float_range_names_x(self, s, params, x):
+        message = f"the estimate at depth {len(params)} leaves the float range "
+        message += f"at match point {x!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ContinuedRootApproximant(s, params).asymptote(x)
+
+    def test_agrees_with_evaluate_at_large_x(self):
+        # criterion 9 far past the float range of the direct loop
+        approx = fit(TruncatedSeries(tuple(string_coefficients(3))), 2 / 3)
+        for x in (1e100, 1e150, 1e200):
+            assert approx.evaluate(x) == pytest.approx(approx.asymptote(x), rel=1e-13)
 
 
 class TestAmplitudeEstimate:

@@ -827,17 +827,31 @@ class TestEval:
             assert payload["error"] == "invalid-input"
             assert "--x" in payload["message"]
 
-    def test_value_beyond_float_range_names_the_point(self, capsys):
-        # a finite, valid point whose inner bracket overflows to inf
+    @pytest.mark.parametrize("order", [8, 13])
+    def test_value_beyond_float_range_names_the_point(self, capsys, order):
+        # a finite, valid point whose value, about 1.9e383 at order 8 and
+        # 5.7e396 at order 13, is beyond the float range
         code, out = run_cli(
-            capsys, "eval", "--problem", "fluid_string", "--order", "3",
+            capsys, "eval", "--problem", "fluid_string", "--order", str(order),
             "--x", "1", "1e200",
         )
         assert code == 1
         payload = strict_json(out)
         assert payload["error"] == "invalid-input"
-        assert "x = 1e+200" in payload["message"]
-        assert "float range" in payload["message"]
+        assert payload["message"] == "the value at x = 1e+200 leaves the float range"
+
+    def test_overflowing_bracket_with_a_finite_value_prints_it(self, capsys):
+        # the inner bracket overflows, but the value is 5.8530670785986856e280
+        # (60 digits); the brackets are evaluated in logs from there outward
+        code, out = run_cli(
+            capsys, "eval", "--problem", "fluid_string", "--order", "3",
+            "--x", "1e100", "1e200",
+        )
+        assert code == 0
+        points = strict_json(out)["points"]
+        assert points[1][1] == pytest.approx(5.8530670785986856e280, rel=1e-13)
+        # the first point's brackets stay finite: the direct loop's value
+        assert points[0][1] == 1.0632680416329295e140
 
     def test_complex_breakdown_reported(self, capsys, tmp_path):
         path = write_problem(tmp_path, coefficients=[1.0, 1.0, -10.0])

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from continued_roots import ContinuedRootApproximant, TruncatedSeries
 
+from oracles import product
+
 positive_params = st.lists(
     st.floats(min_value=0.05, max_value=2.0), min_size=1, max_size=6
 )
@@ -61,7 +63,7 @@ def test_taylor_coefficients_agree():
     pad = lambda c: tuple(c) + (0.0,) * (k + 1 - len(c))
     num = TruncatedSeries(pad(numerator))
     den = TruncatedSeries(pad(denominator))
-    rational_series = num * den.power(-1.0)
+    rational_series = product(num, den.power(-1.0))
     direct_series = approx.expand(k)
     assert rational_series.coeffs == pytest.approx(
         direct_series.coeffs, rel=1e-12, abs=1e-12
