@@ -38,7 +38,6 @@ from .diagnostics import (
 from .errors import (
     ComplexBreakdownError,
     ContinuedRootError,
-    DegenerateSeriesError,
     RealnessError,
     UnknownProblemError,
     VanishingSensitivityError,
@@ -54,7 +53,6 @@ __all__ = [
     "ContinuedRootApproximant",
     "ContinuedRootError",
     "ConvergenceDiagnostics",
-    "DegenerateSeriesError",
     "ExponentTarget",
     "ExtrapolationReport",
     "RealnessError",

@@ -16,12 +16,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from ._record import Record, _set
-from .errors import (
-    ComplexBreakdownError,
-    DegenerateSeriesError,
-    RealnessError,
-    VanishingSensitivityError,
-)
+from .errors import ComplexBreakdownError, RealnessError, VanishingSensitivityError
 from .series import TruncatedSeries, _factors, _finite_float, _power
 
 
@@ -299,17 +294,20 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
     """Value of the nested form at x, innermost bracket outward.
 
     Raises ComplexBreakdownError with the 1-based depth of the first bracket
-    whose base is negative under a non-integer power or zero under a
-    negative power.  From a base that overflows outward, the brackets are
-    evaluated in logs, log h = s log(1 + e**t) with t = log A + log x +
-    log h_inner, which tends to the law B_k x**beta_k; ValueError names x
-    unless every base there is positive and the value is in the float range.
+    whose base is negative under a power other than -1 (the one integer
+    power in the domain) or zero under a negative power.  From a base that
+    overflows outward, the brackets are evaluated in logs, log h =
+    s log(1 + e**t) with t = log A + log x + log h_inner, which tends to
+    the law B_k x**beta_k; ValueError names x unless every base there is
+    positive and the value is in the float range.
     """
     h, depth = 1.0, len(params)
     for a in reversed(params):
         u = 1.0 + a * x * h
         if not 0.0 < u < _INF:
-            if (u < 0.0 and not float(s).is_integer()) or (u == 0.0 and s < 0.0):
+            if u != u:  # a * x overflowed against a zero inner value
+                u = 1.0 + a * (x * h)
+            if (u < 0.0 and s != -1.0) or (u == 0.0 and s < 0.0):
                 raise ComplexBreakdownError(depth, x)
             if abs(u) == _INF:
                 break
@@ -346,10 +344,6 @@ def _fit_power(series: TruncatedSeries, power: float) -> float:
     for n, c in enumerate(coeffs):
         if not math.isfinite(c):
             raise ValueError(f"fit requires finite coefficients; c{n} is {c!r}")
-    if coeffs[1] == 0.0:
-        raise DegenerateSeriesError(
-            "linear coefficient is zero; the parameter chain has no anchor"
-        )
     return s
 
 
@@ -370,11 +364,10 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
         power: the repeated nesting power s, non-zero with -1 <= s < 1.
 
     Raises:
-        DegenerateSeriesError: the linear coefficient is zero.
         VanishingSensitivityError: the parameter chain is cut before the
-            named order: the parameter before it is exactly zero, or that
-            order's parameter leaves the float range.  No parameter that
-            is returned is infinite or NaN.
+            named order: the parameter before it is exactly zero (A1
+            included, as a zero c1 fits it), or that order's parameter
+            leaves the float range.  No parameter that is returned is infinite or NaN.
         ValueError: c0 != 1, K < 1, a coefficient is not finite, or power
             is 0, not finite or outside -1 <= s < 1.
     """

@@ -210,7 +210,7 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
         name=name,
         target_exponent=float(beta),
         max_order=len(coeffs) - 1,
-        _generator=corpus._fixed(coeffs),
+        _generator=corpus._Fixed(tuple(coeffs)),
     )
 
 
@@ -412,6 +412,7 @@ def _command_diagnose(args: argparse.Namespace) -> int:
             "problem": problem.name,
             "order": approx.order,
             **dict(zip(diag.__slots__, diag._values())),
+            "power_valid": abs(diag.power) < 1.0,
             "bounded": diag.bounded,
         }
     )

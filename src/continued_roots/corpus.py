@@ -21,7 +21,6 @@ convention (1 for the problems quoted directly at the amplitude level).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 
 from ._record import Record
 from .errors import UnknownProblemError
@@ -94,11 +93,17 @@ def string_coefficients(order: int) -> list[float]:
     return [num / den for num, den in _string_ratios(order)]
 
 
-def _fixed(coeffs: Sequence[float]) -> Callable[[int], list[float]]:
-    def generator(order: int) -> list[float]:
-        return list(coeffs[: order + 1])
+class _Fixed(Record):
+    """The generator of a problem with finitely many known coefficients.
 
-    return generator
+    A record of the coefficient tuple, so that such a problem compares,
+    hashes, prints and pickles by value like the other result types.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __call__(self, order: int) -> list[float]:
+        return list(self.coeffs[: order + 1])
 
 
 _PI_SQUARED = math.pi**2
@@ -112,8 +117,8 @@ _PROBLEMS = {
         max_order=5,
         known_amplitude=1.5,
         observable_exact=1.5,
-        _generator=_fixed(
-            [1.0, 1.0, -1.0 / 8.0, 1.0 / 32.0, -1.0 / 128.0, 3.0 / 2048.0]
+        _generator=_Fixed(
+            (1.0, 1.0, -1.0 / 8.0, 1.0 / 32.0, -1.0 / 128.0, 3.0 / 2048.0)
         ),
     ),
     "froehlich_polaron": BenchmarkProblem(
@@ -124,7 +129,7 @@ _PROBLEMS = {
         max_order=2,
         known_amplitude=0.108513,
         observable_exact=None,
-        _generator=_fixed([1.0, 1.591962e-2, 0.806070e-3]),
+        _generator=_Fixed((1.0, 1.591962e-2, 0.806070e-3)),
     ),
     "fluid_membrane": BenchmarkProblem(
         name="fluid_membrane",
@@ -134,8 +139,8 @@ _PROBLEMS = {
         max_order=6,
         known_amplitude=0.064683,
         observable_exact=0.0798,
-        _generator=_fixed(
-            [
+        _generator=_Fixed(
+            (
                 1.0,
                 1.0 / 4.0,
                 1.0 / 32.0,
@@ -143,7 +148,7 @@ _PROBLEMS = {
                 0.552721e-4,
                 -0.721482e-5,
                 -1.777848e-6,
-            ]
+            )
         ),
     ),
     "fluid_string": BenchmarkProblem(

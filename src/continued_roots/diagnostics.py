@@ -26,9 +26,7 @@ from .approximant import (
     fit_sequence,
 )
 from .corpus import BenchmarkProblem
-from .errors import (
-    ContinuedRootError, DegenerateSeriesError, VanishingSensitivityError,
-)
+from .errors import ContinuedRootError, VanishingSensitivityError
 from .series import TruncatedSeries
 
 
@@ -64,14 +62,15 @@ class ConvergenceDiagnostics(Record):
 
     ``bound_terms[i]`` is the rescaled contribution of depth i + 2; the
     infinite-depth construction converges when such terms stay bounded,
-    and for |s| < 1 they approach ``bound_limit`` = (L*M)**(s/(1-s)).
-    The certificate covers the depths actually present; the analytic limit
-    covers the tail.
+    and they approach ``bound_limit`` = (L*M)**(s/(1-s)).  The power is
+    -1 < s < 1, where the criterion applies: ``herschfeld_terms`` rejects
+    s = -1.  The certificate covers the depths actually present; the
+    analytic limit covers the tail.
     """
 
     __slots__ = (
         "power", "variable_bound", "param_bound", "radical_exponents",
-        "bound_terms", "bound_limit", "power_valid",
+        "bound_terms", "bound_limit",
     )
 
     @property
@@ -82,8 +81,6 @@ class ConvergenceDiagnostics(Record):
         which covers both the growing (L*M > 1) and shrinking (L*M < 1)
         regimes.
         """
-        if not self.power_valid:
-            return False
         cap = self.bound_limit
         if self.bound_terms:
             cap = max(cap, self.bound_terms[0])
@@ -137,7 +134,6 @@ def herschfeld_terms(
         radical_exponents=exponents,
         bound_terms=terms,
         bound_limit=limit,
-        power_valid=abs(s) < 1.0,
     )
 
 
@@ -261,8 +257,6 @@ def depth_table(problem: BenchmarkProblem, kmax: int) -> ExtrapolationReport:
     except VanishingSensitivityError as err:
         failure = err
         fits = fit_sequence(series, power, range(2, err.order))
-    except DegenerateSeriesError as err:
-        failure, fits = err, []
     report = sequence_report(
         fits,
         ExponentTarget(problem.target_exponent, problem.known_amplitude),

@@ -19,12 +19,6 @@ class ContinuedRootError(Exception):
     kind = "error"
 
 
-class DegenerateSeriesError(ContinuedRootError):
-    """The linear coefficient is zero, so the parameter chain has no anchor."""
-
-    kind = "degenerate-input"
-
-
 class VanishingSensitivityError(ContinuedRootError):
     """The parameter chain is cut before the named order, so no parameter
     of that order can be fitted.

@@ -44,7 +44,7 @@ from continued_roots.approximant import (
     fit_sequence,
 )
 from continued_roots.diagnostics import nested_radical_exponent
-from continued_roots.errors import DegenerateSeriesError, VanishingSensitivityError
+from continued_roots.errors import VanishingSensitivityError
 from continued_roots.series import TruncatedSeries
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -320,10 +320,6 @@ def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproxi
         raise ValueError("fit needs at least the linear coefficient")
     if power == 0.0:
         raise ValueError("nesting power must be non-zero")
-    if coeffs[1] == 0.0:
-        raise DegenerateSeriesError(
-            "linear coefficient is zero; the parameter chain has no anchor"
-        )
     g = list(coeffs)
     params: list[float] = []
     for n in range(1, series.order + 1):

@@ -18,7 +18,6 @@ from continued_roots import (
     ComplexBreakdownError,
     ContinuedRootApproximant,
     ContinuedRootError,
-    DegenerateSeriesError,
     ExponentTarget,
     RealnessError,
     TruncatedSeries,
@@ -431,8 +430,22 @@ class TestFit:
                 assert abs((got - a) / a) <= 2e-12
 
     def test_zero_linear_coefficient_degenerate(self):
-        with pytest.raises(DegenerateSeriesError):
+        # a zero c1 fits A1 = 0, which cuts the chain at order 2
+        assert fit(TruncatedSeries((1.0, 0.0)), 0.5).params == (0.0,)
+        with pytest.raises(VanishingSensitivityError) as excinfo:
             fit(TruncatedSeries((1.0, 0.0, 0.5)), 0.5)
+        assert (excinfo.value.order, excinfo.value.cut) == (2, 0.0)
+
+    @pytest.mark.parametrize("s", [0.5, -1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_parameter_cuts_the_chain_alike_at_every_order(self, n, s):
+        # the expansion of a form whose A_n is 0, one order past it
+        params = (2.0, 1.0)[: n - 1] + (0.0, 1.5)
+        coeffs = ContinuedRootApproximant(s, params).expand(n + 1).coeffs
+        assert fit(TruncatedSeries(coeffs[: n + 1]), s).params == params[:n]
+        with pytest.raises(VanishingSensitivityError) as excinfo:
+            fit(TruncatedSeries(coeffs), s)
+        assert (excinfo.value.order, excinfo.value.cut) == (n + 1, 0.0)
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -838,6 +851,14 @@ class TestEvaluate:
     def test_value_at_zero_is_one(self):
         approx = ContinuedRootApproximant(0.4, (2.5, 1.5625))
         assert approx.evaluate(0.0) == 1.0
+
+    @pytest.mark.parametrize("outer", [(), (2.0,)])
+    def test_zero_bracket_under_overflowing_product_is_one(self, outer):
+        # the innermost bracket is exactly 0, so the next is 1 + 1e310 * 0;
+        # 1e300 * x overflows to inf first, and inf * 0 is NaN
+        approx = ContinuedRootApproximant(0.5, outer + (1e300, -1e-10))
+        want = ContinuedRootApproximant(0.5, outer + (0.0,)).evaluate(1e10)
+        assert approx.evaluate(1e10) == want
 
     @pytest.mark.parametrize("s", [0.4, -1.0])
     def test_negative_zero_is_zero(self, s):

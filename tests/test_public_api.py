@@ -20,7 +20,6 @@ PUBLIC = {
     "ContinuedRootApproximant",
     "ContinuedRootError",
     "ConvergenceDiagnostics",
-    "DegenerateSeriesError",
     "ExponentTarget",
     "ExtrapolationReport",
     "RealnessError",
@@ -64,6 +63,9 @@ def test_all_is_the_sorted_public_set():
         (continued_roots.ExtrapolationReport, "any_failed"),
         (continued_roots.ExtrapolationReport, "known_observable"),
         (cli, "_check_order"),
+        (continued_roots, "DegenerateSeriesError"),
+        (errors, "DegenerateSeriesError"),
+        (continued_roots.ConvergenceDiagnostics, "power_valid"),
     ],
 )
 def test_removed_names_are_gone(owner, name):

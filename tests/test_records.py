@@ -3,6 +3,7 @@
 import copy
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,13 @@ from continued_roots import (
     ExtrapolationReport,
     ReportRow,
     TruncatedSeries,
+    cli,
     herschfeld_terms,
+    problem,
     string_coefficients,
 )
+
+FILE_PROBLEM = Path(__file__).resolve().parent / "golden" / "problems" / "valid.json"
 
 
 def _instances():
@@ -41,13 +46,24 @@ def _instances():
 
 
 INSTANCES = _instances()
+# problems with finitely many coefficients: the three such built-ins and
+# one read from a problem file
+FIXED = [
+    problem("nls_coherent_modes"),
+    problem("froehlich_polaron"),
+    problem("fluid_membrane"),
+    cli.load_problem_file(str(FILE_PROBLEM)),
+]
 
 
 def _fields(record):
     return [getattr(record, name) for name in type(record).__slots__]
 
 
-@pytest.fixture(params=INSTANCES, ids=lambda record: type(record).__name__)
+@pytest.fixture(
+    params=INSTANCES + FIXED,
+    ids=[type(r).__name__ for r in INSTANCES] + [f"problem-{p.name}" for p in FIXED],
+)
 def record(request):
     return request.param
 
@@ -92,6 +108,15 @@ def test_copies_and_pickles_compare_equal(record):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_fixed_problems_compare_and_print_by_their_coefficients():
+    again = cli.load_problem_file(str(FILE_PROBLEM))
+    assert again == FIXED[-1] and hash(again) == hash(FIXED[-1])
+    for fixed in FIXED:
+        text = repr(fixed)
+        assert repr(tuple(fixed.coefficients(fixed.max_order))) in text
+        assert " at 0x" not in text
 
 
 def test_repr_names_every_field(record):
