@@ -1,16 +1,15 @@
 """Immutable value records, the base of the package's result types.
 
 A record names its fields in ``__slots__``; assigning or deleting a field
-afterwards raises AttributeError.  A record that only stores its fields
-gets an ``__init__``, compiled from ``__slots__`` with the defaults in the
-private class attribute ``_defaults``, that stores each field through its
-slot's descriptor; a record that validates or coerces writes its own and
-sets each field once with ``_set``.  Records compare and hash by class and
-field values, print every field, and pickle through their constructor, as
-frozen dataclasses do, but without importing ``dataclasses`` at start-up.
+afterwards raises AttributeError.  Every record gets ``_store``, compiled
+from ``__slots__`` with the defaults in the private class attribute
+``_defaults``, which stores each field through its slot's descriptor.  A
+record that only stores its fields has it as its ``__init__``; one that
+validates or coerces writes its own, which ends in ``self._store(...)``.
+Records compare and hash by class and field values, print every field,
+and pickle through their constructor, as frozen dataclasses do, but
+without importing ``dataclasses`` at start-up.
 """
-
-_set = object.__setattr__
 
 
 class Record:
@@ -18,8 +17,6 @@ class Record:
     _defaults = {}
 
     def __init_subclass__(cls):
-        if "__init__" in vars(cls):
-            return
         names = cls.__slots__
         params = ", ".join(
             f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
@@ -27,12 +24,13 @@ class Record:
         )
         body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
         namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-        namespace["_defaults"] = cls._defaults
-        exec(f"def __init__(self, {params}):\n{body}", namespace)
-        init = namespace["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        init.__module__ = cls.__module__
-        cls.__init__ = init
+        namespace.update(_defaults=cls._defaults, __name__=cls.__module__)
+        exec(f"def _store(self, {params}):\n{body}", namespace)
+        cls._store = store = namespace["_store"]
+        if "__init__" not in vars(cls):
+            store.__name__ = "__init__"
+            cls.__init__ = store
+        store.__qualname__ = f"{cls.__qualname__}.{store.__name__}"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

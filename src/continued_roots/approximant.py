@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import ComplexBreakdownError, RealnessError, VanishingSensitivityError
 from .series import TruncatedSeries, _factors, _finite_float, _power
 
@@ -132,10 +132,9 @@ class ExponentTarget(Record):
         exponent_to_power(exponent)  # raises unless finite and > -1/2
         if amplitude == 0.0:
             raise ValueError(f"known amplitude must be non-zero, got {amplitude!r}")
-        if amplitude is not None and not -math.inf < amplitude < math.inf:
+        if amplitude is not None and not -_MAX <= amplitude <= _MAX:
             raise ValueError(f"known amplitude must be finite, got {amplitude!r}")
-        _set(self, "exponent", exponent)
-        _set(self, "amplitude", amplitude)
+        self._store(exponent, amplitude)
 
     @property
     def power(self) -> float:
@@ -151,9 +150,11 @@ class AmplitudeResult(Record):
         """This law converted to one of x**target_exponent at ``match_point``.
 
         B_k * match_point**(beta_k - target); B_k itself at match point 1.
-        Raises ValueError, naming the depth, when the conversion or its
-        product with a finite B_k leaves the float range.
+        Raises ValueError unless match_point > 0, and, naming the depth,
+        when the conversion or its product with a finite B_k overflows.
         """
+        if not match_point > 0.0:
+            raise ValueError(f"match point must be positive, got {match_point!r}")
         return _estimate(*self._values(), target_exponent, match_point)
 
 
@@ -183,8 +184,8 @@ class ContinuedRootApproximant(Record):
     def __init__(self, power: float, params: tuple[float, ...]):
         if len(params) < 1:
             raise ValueError("an approximant needs at least one parameter")
-        _set(self, "params", tuple(map(float, params)))
-        _set(self, "power", _check_power(power))
+        params = tuple(map(float, params))
+        self._store(_check_power(power), params)
 
     @property
     def order(self) -> int:
@@ -216,7 +217,7 @@ class ContinuedRootApproximant(Record):
         finite, or, as ``nested_evaluate`` says, where a base overflows and
         logs cannot recover the value.
         """
-        if not 0.0 <= x < math.inf:
+        if not 0.0 <= x <= _MAX:
             if x < 0.0:
                 raise ValueError(f"argument must be non-negative, got {x!r}")
             raise ValueError(f"argument must be finite, got {x!r}")
@@ -329,6 +330,7 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
 
 
 _INF = math.inf  # a module global: faster to load per bracket than math.inf
+_MAX = math.nextafter(_INF, 0.0)  # an int above it is beyond the float range
 
 
 def _fit_power(series: TruncatedSeries, power: float) -> float:
@@ -389,16 +391,11 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
 
 
 def _form(s: float, params: tuple[float, ...]) -> ContinuedRootApproximant:
-    """The form of fitted float parameters, stored through the slots' setters
-    (faster than ``object.__setattr__``) without the constructor's checks."""
+    """The form of fitted float parameters, stored by the record's generated
+    ``_store`` without the constructor's checks."""
     fitted = object.__new__(ContinuedRootApproximant)
-    _set_power(fitted, s)
-    _set_params(fitted, params)
+    ContinuedRootApproximant._store(fitted, s, params)
     return fitted
-
-
-_set_power = ContinuedRootApproximant.power.__set__
-_set_params = ContinuedRootApproximant.params.__set__
 
 
 def fit_sequence(

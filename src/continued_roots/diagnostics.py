@@ -18,6 +18,7 @@ from ._record import Record
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
+    _MAX,
     _check_power,
     _estimate,
     _power_law,
@@ -110,11 +111,11 @@ def herschfeld_terms(
         )
     _require_positive(approximant.params, "the certificate")
     m = max(approximant.params)
-    lm = variable_bound * m
     exponents = tuple(
         nested_radical_exponent(s, n) for n in range(2, approximant.order + 1)
     )
     try:
+        lm = variable_bound * m  # OverflowError for an int L beyond the floats
         if lm == math.inf:
             raise OverflowError  # L*M itself overflowed
         terms = tuple(
@@ -196,6 +197,8 @@ def sequence_report(
         )
     if not match_point > 0.0:
         raise ValueError(f"match point must be positive, got {match_point!r}")
+    # an int beyond the float range fails each row, as an infinite one does
+    prefactor = observable_prefactor if observable_prefactor <= _MAX else math.inf
     orders = [a.order for a in approximants]
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"depths must be strictly increasing, got {orders}")
@@ -212,7 +215,7 @@ def sequence_report(
             b = _power_law(chain, power, done, b)
             done = k
             estimate = _estimate(b, exponent, k, target.exponent, match_point)
-            observable = observable_prefactor * estimate
+            observable = prefactor * estimate
             if not math.isfinite(observable):
                 raise ValueError(f"the observable at depth {k} leaves the float range")
             percent = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from ._record import Record, _set
+from ._record import Record
 
 
 def _finite_float(value, lead: str) -> float:
@@ -33,7 +33,7 @@ class TruncatedSeries(Record):
     def __init__(self, coeffs: tuple[float, ...]):
         if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least the constant term")
-        _set(self, "coeffs", tuple(map(float, coeffs)))
+        self._store(tuple(map(float, coeffs)))
 
     @property
     def order(self) -> int:

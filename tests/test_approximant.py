@@ -226,12 +226,24 @@ class TestExponentTarget:
         with pytest.raises(ValueError, match=message):
             ExponentTarget(exponent, 1.0)
 
-    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "amplitude",
+        [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")],
+    )
     def test_non_finite_amplitude_rejected(self, amplitude):
         # a non-finite baseline would make every percent error NaN
         message = f"^known amplitude must be finite, got {amplitude!r}$"
         with pytest.raises(ValueError, match=message):
             ExponentTarget(2.0, amplitude)
+
+
+    @pytest.mark.parametrize(
+        "amplitude",
+        [sys.float_info.max, -sys.float_info.max, int(sys.float_info.max)],
+        ids=["max", "-max", "int"],
+    )
+    def test_largest_finite_amplitude_accepted(self, amplitude):
+        assert ExponentTarget(2.0, amplitude).amplitude is amplitude
 
 
 class TestConstruction:
@@ -886,12 +898,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^argument must be non-negative, got -inf$"):
             approx.evaluate(-math.inf)
 
-    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "x", [math.inf, math.nan, pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_argument_rejected(self, x):
-        # the form is identically 1, but the kernel gave NaN for both
+        # the form is identically 1, but the kernel gave NaN for inf and NaN,
+        # and an int beyond the float range raised a bare OverflowError
         approx = ContinuedRootApproximant(0.5, (0.0,))
         with pytest.raises(ValueError, match=f"^argument must be finite, got {x!r}$"):
             approx.evaluate(x)
+
+    @pytest.mark.parametrize(
+        "x", [sys.float_info.max, int(sys.float_info.max)], ids=["float", "int"]
+    )
+    def test_largest_float_is_a_finite_argument(self, x):
+        assert ContinuedRootApproximant(0.5, (0.0,)).evaluate(x) == 1.0
 
     def test_complex_breakdown_names_depth(self):
         # the inner bracket 1 - 5x goes negative past x = 0.2
@@ -1153,6 +1174,13 @@ class TestAmplitudeEstimate:
         message = "the estimate at depth 8 leaves the float range at match point 0.001"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             law.estimate(400.0, 1e-3)
+
+    @pytest.mark.parametrize("point", [0.0, -0.0, -4.0, math.nan, -math.inf])
+    def test_match_point_must_be_positive(self, point):
+        # 0.0 divided by zero, -4.0 gave a complex power, NaN returned NaN
+        message = f"^match point must be positive, got {point!r}$"
+        with pytest.raises(ValueError, match=message):
+            AmplitudeResult(1.0, 0.5, 1).estimate(1.0, point)
 
     @pytest.mark.parametrize("amplitude", [1e290, -1e290])
     def test_overflowing_product_names_its_depth(self, amplitude):

@@ -199,6 +199,8 @@ class TestHerschfeldTerms:
             (2.0 / 3.0, (0.5, 0.25, 0.125), 1e308),  # L*M ** 2 overflows
             (-0.5, (0.25, 0.25), 5e-324),  # L*M is 0, raised to -1/2
             (0.5, (1.0, 1.0), math.inf),  # L*M is infinite
+            # an int L beyond the float range, treated as an infinite one
+            pytest.param(0.5, (1.0, 1.0), 10**400, id="10**400"),
         ],
     )
     def test_terms_beyond_float_range_rejected(self, power, params, variable_bound):
@@ -503,6 +505,16 @@ class TestSequenceReport:
         assert second.error == f"the {name} at depth 2 leaves the float range"
         assert second.exponent == finite_order_exponent(2 / 3, 2)
         assert second.amplitude is second.observable is second.percent_error is None
+
+    def test_prefactor_beyond_float_range_fails_rows_as_infinity_does(self):
+        # an int prefactor beyond the float range raised a bare OverflowError
+        chain = [ContinuedRootApproximant(2 / 3, (1.0, 2.0)[:k]) for k in (1, 2)]
+        target = ExponentTarget(2.0, 1.0)
+        rows = sequence_report(chain, target, 10**400).rows
+        assert rows == sequence_report(chain, target, math.inf).rows
+        assert [row.error for row in rows] == [
+            f"the observable at depth {k} leaves the float range" for k in (1, 2)
+        ]
 
     def test_orders_must_increase(self):
         fits, modes = self.fits()

@@ -17,8 +17,12 @@ from continued_roots import (
     ReportRow,
     TruncatedSeries,
     cli,
+    depth_table,
+    fit,
+    fit_sequence,
     herschfeld_terms,
     problem,
+    sequence_report,
     string_coefficients,
 )
 
@@ -56,13 +60,38 @@ FIXED = [
 ]
 
 
+def _built():
+    """Records the package builds itself, named for the fixture's ids: the
+    fitted forms skip the constructor and go through the generated store."""
+    series = TruncatedSeries((1.0, 1.0, -10.0, 0.5))
+    fitted = fit(series, 0.5)  # A2 = -19, so the depth-3 row fails
+    sequence = fit_sequence(series, 0.5, (1, 3))
+    report = sequence_report(sequence, ExponentTarget(1.0, 1.5), 2.0, 3.0)
+    table = depth_table(problem("nls_coherent_modes"), 3)
+    return {
+        "fit": fitted,
+        "fit_sequence": sequence[0],
+        "expand": fitted.expand(5),
+        "sequence_report-row": report.rows[0],
+        "sequence_report-failed-row": report.rows[1],
+        "sequence_report": report,
+        "depth_table-row": table.rows[-1],
+        "depth_table": table,
+    }
+
+
+BUILT = _built()
+
+
 def _fields(record):
     return [getattr(record, name) for name in type(record).__slots__]
 
 
 @pytest.fixture(
-    params=INSTANCES + FIXED,
-    ids=[type(r).__name__ for r in INSTANCES] + [f"problem-{p.name}" for p in FIXED],
+    params=INSTANCES + FIXED + list(BUILT.values()),
+    ids=[type(r).__name__ for r in INSTANCES]
+    + [f"problem-{p.name}" for p in FIXED]
+    + [f"built-{name}" for name in BUILT],
 )
 def record(request):
     return request.param
