@@ -32,7 +32,6 @@ from .diagnostics import (
     ReportRow,
     depth_table,
     herschfeld_terms,
-    nested_radical_exponent,
     sequence_report,
 )
 from .errors import (
@@ -67,7 +66,6 @@ __all__ = [
     "fit",
     "fit_sequence",
     "herschfeld_terms",
-    "nested_radical_exponent",
     "power_to_exponent",
     "problem",
     "problem_names",

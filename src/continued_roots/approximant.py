@@ -72,9 +72,14 @@ def finite_order_exponent(power: float, order: int) -> float:
         raise ValueError(f"order must be at least 1, got {order}")
     s = _check_power(power)
     try:
-        return (s - s ** (order + 1)) / (1.0 - s)
+        return _exponent(s, order)
     except OverflowError:
         raise ValueError(f"order {order} leaves the float range") from None
+
+
+def _exponent(s: float, k: int) -> float:
+    """beta_k = (s - s**(k+1)) / (1 - s), the one closed form, unchecked."""
+    return (s - s ** (k + 1)) / (1.0 - s)
 
 
 def _require_positive(params: Sequence[float], subject: str) -> None:
@@ -159,9 +164,17 @@ class AmplitudeResult(Record):
 
 
 def _estimate(b: float, beta: float, k: int, target: float, point: float) -> float:
-    """``AmplitudeResult(b, beta, k).estimate(target, point)``, unbuilt."""
+    """``AmplitudeResult(b, beta, k).estimate(target, point)``, unbuilt.
+
+    An int point beyond the float range converts in logs."""
     try:
-        estimate = b * point ** (beta - target)
+        try:
+            law = point ** (beta - target)
+        except OverflowError:
+            if not isinstance(point, int):
+                raise
+            law = math.exp((beta - target) * math.log(point))
+        estimate = b * law
         if not math.isinf(estimate) or math.isinf(b):
             return estimate
     except OverflowError:

@@ -403,16 +403,38 @@ def _command_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _radical_exponent(s: float, depth: int) -> float:
+    """The root exponent gamma_n = (1 - s**(n-1)) / ((1 - s) * s**(n-1)) of
+    the radical rewrite at depth n, which ``diagnose`` prints; ValueError,
+    naming the depth, where s**(n-1) underflows and it is not finite."""
+    scale = s ** (depth - 1)
+    denominator = (1.0 - s) * scale
+    exponent = (1.0 - scale) / denominator if denominator else math.inf
+    if not math.isfinite(exponent):
+        raise ValueError(
+            f"the radical exponent at depth {depth} for power {s!r} is not finite"
+        )
+    return exponent
+
+
 def _command_diagnose(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     approx = _fit_order(problem, args.order)
     diag = herschfeld_terms(approx, args.variable_bound)
+    s = diag.power
     _print_json(
         {
             "problem": problem.name,
             "order": approx.order,
-            **dict(zip(diag.__slots__, diag._values())),
-            "power_valid": abs(diag.power) < 1.0,
+            "power": s,
+            "variable_bound": diag.variable_bound,
+            "param_bound": diag.param_bound,
+            "radical_exponents": [
+                _radical_exponent(s, n) for n in range(2, approx.order + 1)
+            ],
+            "bound_terms": diag.bound_terms,
+            "bound_limit": diag.bound_limit,
+            "power_valid": abs(s) < 1.0,
             "bounded": diag.bounded,
         }
     )

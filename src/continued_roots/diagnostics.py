@@ -19,59 +19,32 @@ from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
     _MAX,
-    _check_power,
     _estimate,
+    _exponent,
     _power_law,
     _require_positive,
     exponent_to_power,
     fit_sequence,
+    power_to_exponent,
 )
 from .corpus import BenchmarkProblem
 from .errors import ContinuedRootError, VanishingSensitivityError
 from .series import TruncatedSeries
 
 
-def nested_radical_exponent(power: float, depth: int) -> float:
-    """Root-exponent growth factor at a given depth of the radical rewrite.
-
-    For depth n this is (1 - s**(n-1)) / ((1 - s) * s**(n-1)); the products
-    gamma_n * s**n that enter the boundedness terms then telescope to
-    (s - s**n) / (1 - s).  The power is checked as ``fit`` checks it.
-    Raises ValueError, naming the depth and the power, when s**(n-1)
-    underflows and the result is not finite, and one naming the depth when
-    the depth leaves the float range.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    s = _check_power(power)
-    try:
-        scale = s ** (depth - 1)
-        exponent = (1.0 - scale) / ((1.0 - s) * scale)
-        if math.isfinite(exponent):
-            return exponent
-    except OverflowError:  # only the int depth - 1 converting to a float
-        raise ValueError(f"depth {depth} leaves the float range") from None
-    except ZeroDivisionError:
-        pass
-    raise ValueError(
-        f"the radical exponent at depth {depth} for power {power!r} is not finite"
-    )
-
-
 class ConvergenceDiagnostics(Record):
     """Boundedness certificate for one approximant on [0, variable_bound].
 
-    ``bound_terms[i]`` is the rescaled contribution of depth i + 2; the
-    infinite-depth construction converges when such terms stay bounded,
-    and they approach ``bound_limit`` = (L*M)**(s/(1-s)).  The power is
-    -1 < s < 1, where the criterion applies: ``herschfeld_terms`` rejects
-    s = -1.  The certificate covers the depths actually present; the
-    analytic limit covers the tail.
+    ``bound_terms[i]`` is the rescaled contribution (L*M)**beta_(i+1) of
+    depth i + 2; the infinite-depth construction converges when such terms
+    stay bounded, and they approach ``bound_limit`` = (L*M)**(s/(1-s)).
+    The power is -1 < s < 1, where the criterion applies:
+    ``herschfeld_terms`` rejects s = -1.  The certificate covers the depths
+    actually present; the analytic limit covers the tail.
     """
 
     __slots__ = (
-        "power", "variable_bound", "param_bound", "radical_exponents",
-        "bound_terms", "bound_limit",
+        "power", "variable_bound", "param_bound", "bound_terms", "bound_limit",
     )
 
     @property
@@ -80,7 +53,10 @@ class ConvergenceDiagnostics(Record):
 
         The cap is the larger of the analytic limit and the first term,
         which covers both the growing (L*M > 1) and shrinking (L*M < 1)
-        regimes.
+        regimes.  So for 0 < s < 1, where the exponents rise monotonically
+        to the limit's, it is always True; for s < 0 they alternate and
+        beta_2 = s + s**2 overshoots, so it is False exactly when L*M > 1
+        and k >= 3.
         """
         cap = self.bound_limit
         if self.bound_terms:
@@ -94,11 +70,12 @@ def herschfeld_terms(
     """Boundedness certificate for an approximant on [0, variable_bound].
 
     With L = variable_bound and M the largest parameter, the term at depth
-    n is (L*M)**(gamma_n * s**n), n = 2..k.  All parameters must be
-    strictly positive and s must not be -1, so that |s| < 1, for the
-    criterion to apply.
-    A ValueError naming L*M is raised when L*M or a term leaves the float
-    range, and one naming the depth when a radical exponent does.
+    n is (L*M)**(gamma_n * s**n), n = 2..k, with gamma_n the root exponent
+    of the radical rewrite; gamma_n * s**n telescopes to the order-(n-1)
+    exponent (s - s**n) / (1 - s), from which each term is computed.  All
+    parameters must be strictly positive and s must not be -1, so that
+    |s| < 1, for the criterion to apply.  A ValueError naming L*M is raised
+    when L*M or a term leaves the float range.
     """
     s = approximant.power
     if s == -1.0:
@@ -111,31 +88,18 @@ def herschfeld_terms(
         )
     _require_positive(approximant.params, "the certificate")
     m = max(approximant.params)
-    exponents = tuple(
-        nested_radical_exponent(s, n) for n in range(2, approximant.order + 1)
-    )
     try:
         lm = variable_bound * m  # OverflowError for an int L beyond the floats
         if lm == math.inf:
             raise OverflowError  # L*M itself overflowed
-        terms = tuple(
-            lm ** (g * s**n)
-            for g, n in zip(exponents, range(2, approximant.order + 1))
-        )
-        limit = lm ** (s / (1.0 - s))
+        terms = tuple(lm ** _exponent(s, n) for n in range(1, approximant.order))
+        limit = lm ** power_to_exponent(s)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(
             f"the boundedness terms leave the float range for "
             f"L*max(A) = {variable_bound!r} * {m!r}"
         ) from None
-    return ConvergenceDiagnostics(
-        power=s,
-        variable_bound=variable_bound,
-        param_bound=m,
-        radical_exponents=exponents,
-        bound_terms=terms,
-        bound_limit=limit,
-    )
+    return ConvergenceDiagnostics(s, variable_bound, m, terms, limit)
 
 
 class ReportRow(Record):
@@ -209,8 +173,7 @@ def sequence_report(
         if approx.power != power or approx.params[: len(chain)] != chain:
             done, b = 0, 1.0  # not a deeper form of the last one: restart
         chain, power, k = approx.params, approx.power, len(approx.params)
-        # finite_order_exponent(power, k), whose check the form passed
-        exponent = (power - power ** (k + 1)) / (1.0 - power)
+        exponent = _exponent(power, k)  # the form's power passed its check
         try:
             b = _power_law(chain, power, done, b)
             done = k

@@ -43,7 +43,6 @@ from continued_roots.approximant import (
     fit,
     fit_sequence,
 )
-from continued_roots.diagnostics import nested_radical_exponent
 from continued_roots.errors import VanishingSensitivityError
 from continued_roots.series import TruncatedSeries
 
@@ -64,7 +63,6 @@ def assert_power_rejected(power) -> None:
         lambda: fit_sequence(series, power, [1, 2]),
         lambda: ContinuedRootApproximant(power, (1.0, 0.5)),
         lambda: finite_order_exponent(power, 2),
-        lambda: nested_radical_exponent(power, 2),
     ]
     messages = set()
     for call in calls:

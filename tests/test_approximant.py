@@ -29,6 +29,7 @@ from continued_roots import (
     fit_sequence,
     power_to_exponent,
     problem,
+    sequence_report,
     string_coefficients,
 )
 from continued_roots import _backend, approximant
@@ -1174,6 +1175,31 @@ class TestAmplitudeEstimate:
         message = "the estimate at depth 8 leaves the float range at match point 0.001"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             law.estimate(400.0, 1e-3)
+
+    @pytest.mark.parametrize(
+        "law, want",
+        [
+            (lambda p: AmplitudeResult(1.0, 0.5, 1).estimate(1.0, p), 1e-200),
+            (lambda p: ContinuedRootApproximant(0.5, (1.0,)).asymptote(p), 1e200),
+            (
+                lambda p: sequence_report(
+                    [ContinuedRootApproximant(0.5, (1.0,))], ExponentTarget(1.0),
+                    match_point=p,
+                ).rows[0].observable,
+                1e-200,
+            ),
+        ],
+        ids=["estimate", "asymptote", "sequence_report"],
+    )
+    def test_int_match_point_beyond_float_range_converts_in_logs(self, law, want):
+        # 10**400 ** 0.5 raises OverflowError converting the int, although
+        # the law, 10**(+-200), is finite
+        assert law(10**400) == pytest.approx(want, rel=1e-12)
+
+    def test_int_match_point_beyond_float_range_still_overflows(self):
+        message = "the estimate at depth 1 leaves the float range at match point"
+        with pytest.raises(ValueError, match=f"^{message} {10**400}$"):
+            AmplitudeResult(1.0, 2.0, 1).estimate(0.0, 10**400)
 
     @pytest.mark.parametrize("point", [0.0, -0.0, -4.0, math.nan, -math.inf])
     def test_match_point_must_be_positive(self, point):

@@ -27,6 +27,7 @@ from continued_roots.cli import (
     MAX_DEPTH,
     _render_table_csv,
     _render_table_human,
+    _radical_exponent,
     _render_table_json,
     main,
 )
@@ -921,6 +922,22 @@ class TestDiagnose:
         )
         assert code == 1
         assert json.loads(out)["error"] == "realness"
+
+    @pytest.mark.parametrize("s", [0.05, -0.05, 0.5, -0.9])
+    def test_radical_exponents_telescope_to_the_terms_exponents(self, s):
+        # gamma_n * s**n = beta_(n-1), the exponent of bound term n
+        for n in range(2, 21):
+            assert _radical_exponent(s, n) * s**n == pytest.approx(
+                finite_order_exponent(s, n - 1), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("depth", [240, 260])
+    def test_radical_exponent_beyond_float_range_names_the_depth(self, depth):
+        # s**(depth - 1) is subnormal at 240, so the quotient is inf, and 0
+        # at 260, so the denominator is 0; no diagnose fit gets that deep
+        message = f"^the radical exponent at depth {depth} for power 0.05 is not finite$"
+        with pytest.raises(ValueError, match=message):
+            _radical_exponent(0.05, depth)
 
 
 class TestPadeCheck:

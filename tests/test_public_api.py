@@ -34,7 +34,6 @@ PUBLIC = {
     "fit",
     "fit_sequence",
     "herschfeld_terms",
-    "nested_radical_exponent",
     "power_to_exponent",
     "problem",
     "problem_names",
@@ -66,6 +65,9 @@ def test_all_is_the_sorted_public_set():
         (continued_roots, "DegenerateSeriesError"),
         (errors, "DegenerateSeriesError"),
         (continued_roots.ConvergenceDiagnostics, "power_valid"),
+        (continued_roots, "nested_radical_exponent"),
+        (continued_roots.diagnostics, "nested_radical_exponent"),
+        (continued_roots.ConvergenceDiagnostics, "radical_exponents"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
