@@ -298,7 +298,7 @@ def nested_expansion(params: Sequence[float], s: float, order: int) -> list[floa
     if not depth:
         return [1.0]
     s1j = _factors(s, order)
-    h = _power([params[depth - 1], *[0.0] * (order - depth)], s1j)
+    h = _power([params[depth - 1], *[s - s] * (order - depth)], s1j)
     for a in reversed(params[: depth - 1]):
         h = _power([a * c for c in h], s1j)
     return h
@@ -387,20 +387,25 @@ def fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:
             is 0, not finite or outside -1 <= s < 1.
     """
     s = _fit_power(series, power)
-    g = series.coeffs[1:]  # coefficients 1 and up of g_n
-    s1j = _factors(1.0 / s, len(g))
+    return _form(s, _peel(series.coeffs[1:], s))
+
+
+def _peel(g: Sequence[float], s: float) -> tuple[float, ...]:
+    """``fit``'s parameters A1..AK from coefficients 1..K, unchecked, in
+    the arithmetic of the inputs (float, or Fraction or mpmath in tests)."""
+    s1j = _factors(1 / s, len(g))
     params = []
     for n in range(1, len(g) + 1):
-        p = _power(g, s1j)
+        p = _power(g, s1j)  # g: coefficients 1 and up of g_n
         a = p[1]
         if not -math.inf < a < math.inf:
             raise VanishingSensitivityError(n, a)
         params.append(a)
         if len(p) > 2:
-            if a == 0.0:
+            if a == 0:
                 raise VanishingSensitivityError(n + 1, a)
             g = [c / a for c in p[2:]]
-    return _form(s, tuple(params))
+    return tuple(params)
 
 
 def _form(s: float, params: tuple[float, ...]) -> ContinuedRootApproximant:

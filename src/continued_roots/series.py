@@ -50,7 +50,7 @@ class TruncatedSeries(Record):
         if u[0] != 1.0:
             raise ValueError(f"series power requires constant term 1, got {u[0]!r}")
         s = _finite_float(exponent, "series power requires a finite exponent")
-        return TruncatedSeries(_power(u[1:], _factors(s, len(u) - 1)))
+        return TruncatedSeries(_power(u[1:], _factors(s, len(u))))
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""
@@ -64,25 +64,28 @@ def _factors(s: float, n: int) -> list[float]:
     """(s + 1) j for j = 1..n, from which ``_power`` at exponent s forms its
     factors (s + 1) j - m, for series of up to n coefficients past the
     constant.  The levels of a nested form share one list."""
-    return [(s + 1.0) * j for j in range(1, n + 1)]
+    return [(s + 1) * j for j in range(1, n + 1)]
 
 
 def _power(u: Sequence[float], s1j: Sequence[float]) -> list[float]:
     """Coefficients 0..K of u**s from coefficients 1..K of u, whose
-    constant term is 1, with ``s1j`` from ``_factors(s, n)``, n >= K.
+    constant term is 1, with ``s1j`` from ``_factors(s, n)``, n >= max(K, 1).
 
     The recurrence of u h' = s u' h: h[m] is the sum over j = 1..m of
-    ((s + 1) j - m) u[j] h[m - j], summed from 0.0 in ascending j, divided
+    ((s + 1) j - m) u[j] h[m - j], summed from zero in ascending j, divided
     by m; O(K^2).  ``TruncatedSeries.power`` runs it once, and the nested
-    form's expansion and fit once per level.
+    form's expansion and fit once per level.  It runs in the arithmetic of
+    its inputs: float, and for the tests Fraction or mpmath numbers.
     """
-    h = [1.0]
-    m = 0.0  # a float, so that every operation is float by float
+    zero = s1j[0] - s1j[0]  # +0.0 for floats, and not NaN beside an infinite u
+    one = zero + 1
+    h = [one]
+    m = zero  # the inputs' type: a float minus an int takes a slow path
     for k in range(len(u)):  # h[m] for m = k + 1
-        m += 1.0
-        acc = 0.0
+        m += one
+        acc = zero
         for j in range(k):
             acc += (s1j[j] - m) * u[j] * h[k - j]
-        # the term j = m, whose h[0] = 1.0 leaves its product unchanged
+        # the term j = m, whose h[0] = 1 leaves its product unchanged
         h.append((acc + (s1j[k] - m) * u[k]) / m)
     return h

@@ -6,9 +6,9 @@ a real cross-check rather than a tautology.
 
 The nested-expansion helpers bound the float64 rounding error of the
 expansion by a running error analysis (Higham, *Accuracy and Stability of
-Numerical Algorithms*, section 3.3) and evaluate it exactly in rational
-arithmetic, so tests can derive tolerances from the arithmetic instead of
-tuning them.
+Numerical Algorithms*, section 3.3), so tests can derive tolerances from the
+arithmetic instead of tuning them; the exact value they are checked against
+is the package's own recurrence run on ``Fraction`` inputs.
 
 ``fractional_power``, ``nested_expansion`` and ``nested_evaluate`` are
 the package's former kernels, kept verbatim: each rebuilds its result
@@ -272,33 +272,6 @@ def expansion_with_error(
         nested_expansion([Bounded(a) for a in params], Bounded(s), order)[order]
     )
     return coeff.value, coeff.error
-
-
-def exact_expansion_coefficient(
-    params: list[float], s: float, order: int
-) -> Fraction:
-    """Coefficient ``order`` of the nested form in exact rational arithmetic.
-
-    Same recurrence as ``nested_expansion``, but every float input is taken at its
-    exact binary value and no operation rounds.
-    """
-    n = order + 1
-    s = Fraction(s)
-
-    def power(u: list[Fraction]) -> list[Fraction]:
-        h = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        for m in range(1, n):
-            terms = (((s + 1) * j - m) * u[j] * h[m - j] for j in range(1, m + 1))
-            h[m] = sum(terms) / m
-        return h
-
-    u = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    if n > 1:
-        u[1] = Fraction(params[-1])
-    for a in reversed(params[:-1]):
-        p = power(u)
-        u = [Fraction(1)] + [Fraction(a) * p[j - 1] for j in range(1, n)]
-    return power(u)[order]
 
 
 def reference_fit(series: TruncatedSeries, power: float) -> ContinuedRootApproximant:

@@ -31,6 +31,7 @@ from continued_roots import (
     problem,
     sequence_report,
     string_coefficients,
+    string_coefficients_exact,
 )
 from continued_roots import _backend, approximant
 
@@ -38,7 +39,6 @@ from oracles import (
     Bounded,
     affine_fit,
     assert_power_rejected,
-    exact_expansion_coefficient,
     expansion_with_error,
     fractional_power,
     nested_evaluate,
@@ -533,12 +533,15 @@ class TestFit:
     @example(-0.90625, [2.0, 2.0, 1.0, 0.25, 0.25, 0.125, 1.0])
     def test_expansion_within_rounding_bound(self, s, params):
         # the bound that the affine check relies on, for the bits that
-        # expand computes, against exact rational arithmetic on the inputs
+        # expand computes, against the same recurrence run exactly on the
+        # inputs' binary values, in Fraction arithmetic
         n = len(params)
         got = ContinuedRootApproximant(s, tuple(params)).expand(n).coeffs[n]
         value, bound = expansion_with_error(params, s, n)
         assert value.hex() == got.hex()
-        assert abs(Fraction(got) - exact_expansion_coefficient(params, s, n)) <= bound
+        exact = approximant.nested_expansion([*map(Fraction, params)], Fraction(s), n)
+        assert type(exact[n]) is Fraction
+        assert abs(Fraction(got) - exact[n]) <= bound
 
     @given(st.data())
     def test_low_coefficients_insulated_from_deep_params(self, data):
@@ -566,6 +569,12 @@ class TestFitMatchesReference:
         assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
 
     @given(any_powers, free_coefficients)
+    # at -1 < s < 0 every factor (1/s + 1) j - m is negative, and A3's sums
+    # here hold -0.0 terms or cancel: summed from +0.0, like the former
+    # literal 0.0, A3 is +0.0 (it would be -0.0 from -0.0), and the cut
+    # one order on names it
+    @example(-0.5, [1.0, 0.5, 1.0])
+    @example(-0.5, [1.0, 0.5, 1.0, 0.0])
     def test_free_series_bitwise(self, s, coeffs):
         series = TruncatedSeries((1.0, *coeffs))
         assert fit_outcome(fit, series, s) == fit_outcome(reference_fit, series, s)
@@ -593,7 +602,9 @@ class TestFitMatchesReference:
     @pytest.mark.parametrize(
         "s, coeffs, order",
         [
-            # A1 = -1.1e-308, and 2.0 / A1 leaves the float range
+            # A1 = -1.1e-308, and 2.0 / A1 leaves the float range: the next
+            # level's power meets an infinite coefficient, beside which a
+            # zero drawn from the coefficients would be NaN
             (-1.0, (1.0, 1.1125369292536007e-308, 2.0), 2),
             # A1 = 2e308 itself leaves the float range
             (0.5, (1.0, 1e308, 0.1), 1),
@@ -613,6 +624,69 @@ class TestFitMatchesReference:
         got = fit_outcome(fit, series, s)
         assert got == fit_outcome(reference_fit, series, s)
         assert got[:3] == (VanishingSensitivityError, 3, (0.0).hex())
+
+
+def _convolve(a: list, b: list) -> list:
+    """Cauchy product of two series of one length, truncated to it."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+class TestExactAndHighPrecisionRuns:
+    """The one recurrence and peel run on Fraction and mpmath inputs, checked
+    against algebra the tests compute apart from them."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_powers_are_exact_products(self, seed):
+        rng = random.Random(seed)
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(seed + 5)]
+        full = [Fraction(1), *u]
+
+        def power(sigma):
+            return approximant._power(u, approximant._factors(Fraction(sigma), len(u)))
+
+        assert power(2) == _convolve(full, full)
+        assert power(3) == _convolve(_convolve(full, full), full)
+        assert _convolve(full, power(-1)) == [1] + [0] * len(u)
+
+    def test_string_depth_fourteen_negative_in_exact_arithmetic(self):
+        # the peel of the exact series at the exact s = 2/3: A14 < 0 comes
+        # from the series, not from rounding, and the float fit lies within
+        # 1e-13 relative of every exact parameter (measured: at most
+        # 6.3e-14, about 570 u, at A14; the bound rounds it up)
+        exact = approximant._peel(string_coefficients_exact(14)[1:], Fraction(2, 3))
+        assert type(exact[13]) is Fraction
+        assert float(exact[13]) == -0.8493983206028345
+        series = TruncatedSeries(tuple(problem("fluid_string").coefficients(14)))
+        params = fit(series, exponent_to_power(2.0)).params
+        assert params[13] == -0.8493983206028883
+        for got, want in zip(params, exact):
+            assert abs((Fraction(got) - want) / want) <= Fraction(1, 10**13)
+
+    @staticmethod
+    def assert_peel_matches_affine_fit(mpmath, coeffs, s):
+        # both at 50 digits; measured: 1.5e-45 on fluid_string at K = 20 and
+        # at most 1.6e-43 over 1000 draws of the corpus below
+        with mpmath.workdps(50):
+            got = approximant._peel([mpmath.mpf(c) for c in coeffs[1:]], mpmath.mpf(s))
+            want = affine_fit([mpmath.mpf(c) for c in coeffs], mpmath.mpf(s))
+            for a, b in zip(got, want, strict=True):
+                assert abs((a - b) / b) <= mpmath.mpf(10) ** -42
+
+    def test_fifty_digit_peel_matches_affine_fit_on_fluid_string(self):
+        mpmath = pytest.importorskip("mpmath")
+        coeffs = problem("fluid_string").coefficients(20)
+        self.assert_peel_matches_affine_fit(mpmath, coeffs, exponent_to_power(2.0))
+
+    def test_fifty_digit_peel_matches_affine_fit_on_a_corpus(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(27)
+        for _ in range(40):
+            k = rng.randint(1, 10)
+            drawn = rng.uniform(0.1, 0.95) * rng.choice((1, -1))
+            s = rng.choice([0.5, 2 / 3, 0.75, -0.5, -1.0, drawn])
+            params = [rng.uniform(0.6, 1.6) * rng.choice((1, -1)) for _ in range(k)]
+            coeffs = ContinuedRootApproximant(s, tuple(params)).expand(k).coeffs
+            self.assert_peel_matches_affine_fit(mpmath, coeffs, s)
 
 
 class TestMatchesFormerKernels:

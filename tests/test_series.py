@@ -171,6 +171,9 @@ class TestPower:
     # stores nothing and whose coefficient comes from the last-order store
     @example([], 0.5)
     @example([0.75], -1.5)
+    # an infinite coefficient: the kernel's zero comes from the factors,
+    # where one drawn from the coefficients would be NaN
+    @example([math.inf, 0.5], -0.5)
     def test_power_matches_former_kernel_bitwise(self, tail, s):
         series = TruncatedSeries((1.0, *tail))
         assert [c.hex() for c in series.power(s).coeffs] == [
