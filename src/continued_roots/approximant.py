@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import ComplexBreakdownError, RealnessError, VanishingSensitivityError
-from .series import TruncatedSeries, _factors, _finite_float, _power
+from .series import TruncatedSeries, _factors, _power
 
 
 def exponent_to_power(exponent: float) -> float:
@@ -52,11 +52,16 @@ def _check_power(power: float) -> float:
     """The nesting power as a float, or ValueError unless it is finite,
     non-zero and -1 <= s < 1: the paper's s = beta / (1 + beta), beta > -1/2,
     with its continued-fraction case s = -1."""
-    s = _finite_float(power, "nesting power must be finite")
+    try:
+        s = float(power)
+    except OverflowError:  # an int beyond the float range
+        s = math.inf
+    if not -1.0 <= s < 1.0:
+        if -math.inf < s < math.inf:
+            raise ValueError(f"nesting power must satisfy -1 <= s < 1, got {power!r}")
+        raise ValueError(f"nesting power must be finite, got {power!r}")
     if s == 0.0:
         raise ValueError("nesting power must be non-zero")
-    if not -1.0 <= s < 1.0:
-        raise ValueError(f"nesting power must satisfy -1 <= s < 1, got {power!r}")
     return s
 
 
@@ -141,10 +146,6 @@ class ExponentTarget(Record):
             raise ValueError(f"known amplitude must be finite, got {amplitude!r}")
         self._store(exponent, amplitude)
 
-    @property
-    def power(self) -> float:
-        return exponent_to_power(self.exponent)
-
 
 class AmplitudeResult(Record):
     """Large-argument power law of one approximant: amplitude * x**exponent."""
@@ -228,7 +229,7 @@ class ContinuedRootApproximant(Record):
         negative parameter drives some bracket base negative under a
         non-integer power, and ValueError, naming x, if x is negative or not
         finite, or, as ``nested_evaluate`` says, where a base overflows and
-        logs cannot recover the value.
+        logs cannot recover the value or a base is NaN.
         """
         if not 0.0 <= x <= _MAX:
             if x < 0.0:
@@ -313,7 +314,9 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
     overflows outward, the brackets are evaluated in logs, log h =
     s log(1 + e**t) with t = log A + log x + log h_inner, which tends to
     the law B_k x**beta_k; ValueError names x unless every base there is
-    positive and the value is in the float range.
+    positive and the value is in the float range.  ValueError also names
+    x, and the depth, for a base that is NaN: a NaN parameter, or an
+    infinite one times a zero x or inner value.
     """
     h, depth = 1.0, len(params)
     for a in reversed(params):
@@ -321,6 +324,8 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
         if not 0.0 < u < _INF:
             if u != u:  # a * x overflowed against a zero inner value
                 u = 1.0 + a * (x * h)
+                if u != u:  # a NaN parameter, or an infinite one times zero
+                    raise ValueError(f"the base at depth {depth} is NaN at x = {x!r}")
             if (u < 0.0 and s != -1.0) or (u == 0.0 and s < 0.0):
                 raise ComplexBreakdownError(depth, x)
             if abs(u) == _INF:
@@ -337,9 +342,12 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
         t = math.log(a) + log_x + log_h
         log_h = s * (max(t, 0.0) + math.log1p(math.exp(-abs(t))))
     try:
-        return math.exp(log_h)
+        h = math.exp(log_h)
     except OverflowError:
-        raise ValueError(f"the value at x = {x!r} leaves the float range") from None
+        h = _INF
+    if h < _INF:  # an infinite parameter makes log_h infinite or NaN
+        return h
+    raise ValueError(f"the value at x = {x!r} leaves the float range")
 
 
 _INF = math.inf  # a module global: faster to load per bracket than math.inf

@@ -1,28 +1,15 @@
-"""Truncated formal power series with a fixed order.
+"""Truncated formal power series, and the one series-power recurrence.
 
-Every operation returns a series of the same order as its inputs; there is
-no implicit order promotion, so coefficients beyond the truncation are
-simply unknown rather than zero.
+A ``TruncatedSeries`` holds c0..cK; coefficients beyond the truncation are
+unknown rather than zero.  ``_power`` raises a series with constant term 1
+to a real power, once per level of the nested form's fit and expansion.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 from ._record import Record
-
-
-def _finite_float(value, lead: str) -> float:
-    """``float(value)``, or ValueError "<lead>, got <value>" when that is
-    not finite or, for an int too large for a float, does not exist."""
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{lead}, got {value!r}")
-    return x
 
 
 class TruncatedSeries(Record):
@@ -38,19 +25,6 @@ class TruncatedSeries(Record):
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def power(self, exponent: float) -> "TruncatedSeries":
-        """Raise the series to a real power.
-
-        The constant term must be exactly 1, which makes the result
-        well-defined termwise for any finite real exponent.  One run of
-        ``_power``, O(K^2).
-        """
-        u = self.coeffs
-        if u[0] != 1.0:
-            raise ValueError(f"series power requires constant term 1, got {u[0]!r}")
-        s = _finite_float(exponent, "series power requires a finite exponent")
-        return TruncatedSeries(_power(u[1:], _factors(s, len(u))))
 
     def evaluate(self, x: float) -> float:
         """Value of the truncating polynomial at a point (Horner scheme)."""
@@ -73,9 +47,9 @@ def _power(u: Sequence[float], s1j: Sequence[float]) -> list[float]:
 
     The recurrence of u h' = s u' h: h[m] is the sum over j = 1..m of
     ((s + 1) j - m) u[j] h[m - j], summed from zero in ascending j, divided
-    by m; O(K^2).  ``TruncatedSeries.power`` runs it once, and the nested
-    form's expansion and fit once per level.  It runs in the arithmetic of
-    its inputs: float, and for the tests Fraction or mpmath numbers.
+    by m; O(K^2).  The nested form's expansion and fit run it once per
+    level.  It runs in the arithmetic of its inputs: float, and for the
+    tests Fraction or mpmath numbers.
     """
     zero = s1j[0] - s1j[0]  # +0.0 for floats, and not NaN beside an infinite u
     one = zero + 1

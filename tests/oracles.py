@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
-The fractional power here goes through exp(s * log(u)), a different
-recurrence from ``TruncatedSeries.power``, so agreement between the two is
+``power`` runs the package's one series-power recurrence, ``_power``, on
+a series with constant term 1.  ``power_via_exp_log`` goes through
+exp(s * log(u)), a different recurrence, so agreement between the two is
 a real cross-check rather than a tautology.
 
 The nested-expansion helpers bound the float64 rounding error of the
@@ -12,8 +13,8 @@ is the package's own recurrence run on ``Fraction`` inputs.
 
 ``fractional_power``, ``nested_expansion`` and ``nested_evaluate`` are
 the package's former kernels, kept verbatim: each rebuilds its result
-from scratch, level by level, so ``expand``, ``evaluate`` and
-``TruncatedSeries.power`` must reproduce them bit for bit.
+from scratch, level by level, so ``expand``, ``evaluate`` and ``power``
+must reproduce them bit for bit.
 ``reference_fit`` peels the form from the outside in, each level a full
 ``fractional_power`` of the remainder at exponent 1/s, as the reference
 that ``fit`` must reproduce bit for bit; ``affine_fit`` solves order by
@@ -22,8 +23,7 @@ order instead, in any arithmetic, as the high-precision oracle.
 rational coefficients, a running binomial in ``Fraction`` arithmetic.
 
 ``product`` is the Cauchy product of two series of one order, truncated
-to that order, the inverse check of ``TruncatedSeries.power``:
-u**s * u**-s = 1.
+to that order, the inverse check of ``power``: u**s * u**-s = 1.
 
 ``power_in_domain`` states the nesting power's domain, -1 <= s < 1 and
 s != 0, apart from the package, and ``assert_power_rejected`` checks that
@@ -44,7 +44,7 @@ from continued_roots.approximant import (
     fit_sequence,
 )
 from continued_roots.errors import VanishingSensitivityError
-from continued_roots.series import TruncatedSeries
+from continued_roots.series import TruncatedSeries, _factors, _power
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -71,6 +71,13 @@ def assert_power_rejected(power) -> None:
         assert "_check_power" in [entry.name for entry in excinfo.traceback]
         messages.add(str(excinfo.value))
     assert len(messages) == 1, messages
+
+
+def power(coeffs, s: float) -> list[float]:
+    """Coefficients 0..K of u**s from coefficients 0..K of u, whose constant
+    term must be 1: one run of the package's ``_power``."""
+    assert coeffs[0] == 1, coeffs
+    return _power(coeffs[1:], _factors(s, len(coeffs)))
 
 
 def product(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:

@@ -43,6 +43,7 @@ from oracles import (
     fractional_power,
     nested_evaluate,
     nested_expansion,
+    power,
     power_in_domain,
     reference_fit,
 )
@@ -200,7 +201,6 @@ class TestExponentAlgebra:
 class TestExponentTarget:
     def test_holds_amplitude(self):
         target = ExponentTarget(2.0, 0.064683)
-        assert target.power == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert target.amplitude == 0.064683
 
     def test_amplitude_optional(self):
@@ -279,10 +279,6 @@ class TestConstruction:
     "call, lead",
     [
         (
-            lambda p: TruncatedSeries((1.0, 0.5, -0.25)).power(p),
-            "series power requires a finite exponent",
-        ),
-        (
             lambda p: fit(TruncatedSeries((1.0, 0.5, 0.1)), p),
             "nesting power must be finite",
         ),
@@ -291,7 +287,7 @@ class TestConstruction:
             "nesting power must be finite",
         ),
     ],
-    ids=["series_power", "fit", "constructor"],
+    ids=["fit", "constructor"],
 )
 def test_huge_int_power_is_a_value_error(call, lead, power):
     with pytest.raises(ValueError, match=f"^{re.escape(lead)}, got {power}$"):
@@ -716,7 +712,7 @@ class TestMatchesFormerKernels:
     # a bracket below 0 under the one integer power, -1, does not
     @example(-1.0, [1.0, -5.0], 1.0)
     @example(-1.0, [-5.0, 1.0], 1.0)
-    # NaN passes through with no raise, and so does -0.0
+    # a NaN base raises where the former kernel gave NaN; -0.0 passes
     @example(0.5, [1.0, math.nan], 1.0)
     @example(0.5, [1.0, -0.0], 3.0)
     @example(-1.0, [-0.0], 2.0)
@@ -737,6 +733,10 @@ class TestMatchesFormerKernels:
             with pytest.raises(ComplexBreakdownError) as excinfo:
                 approx.evaluate(x)
             assert excinfo.value.depth == depth
+        elif value != value:
+            message = rf"^the base at depth \d+ is NaN at x = {re.escape(repr(x))}$"
+            with pytest.raises(ValueError, match=message):
+                approx.evaluate(x)
         else:
             assert approx.evaluate(x).hex() == value.hex()
 
@@ -767,7 +767,7 @@ class TestDeepBitwise:
 
     def test_power_matches_former_kernel(self, depth, s):
         coeffs = self.instance(depth, s).expand(depth).coeffs
-        got = TruncatedSeries(coeffs).power(s).coeffs
+        got = power(coeffs, s)
         want = fractional_power(list(coeffs), s)
         assert [c.hex() for c in got] == [c.hex() for c in want]
 
@@ -1075,6 +1075,37 @@ class TestEvaluate:
             ValueError, match=r"^the value at x = 1e\+300 leaves the float range$"
         ):
             approx.evaluate(1e300)
+
+    @pytest.mark.parametrize(
+        "s, params",
+        [
+            # the log path ends in exp(inf), which returns inf, not an error
+            (0.5, (1.0, math.inf)),
+            # log h is -inf past the inner infinite parameter under s < 0,
+            # and inf - inf in the next bracket makes it NaN
+            (-0.5, (math.inf, math.inf)),
+        ],
+    )
+    def test_infinite_parameter_value_names_x(self, s, params):
+        with pytest.raises(
+            ValueError, match=r"^the value at x = 1\.0 leaves the float range$"
+        ):
+            ContinuedRootApproximant(s, params).evaluate(1.0)
+
+    @pytest.mark.parametrize(
+        "params, x, depth",
+        [
+            ((math.inf,), 0.0, 1),
+            ((math.nan,), 1.0, 1),
+            ((2.0, math.nan, 1.0), 1.0, 2),
+        ],
+        ids=["inf-times-zero", "nan", "nan-inner"],
+    )
+    def test_nan_base_names_its_depth_and_x(self, params, x, depth):
+        # the recomputed base is still NaN, which u**s used to pass on
+        message = f"the base at depth {depth} is NaN at x = {x!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ContinuedRootApproximant(0.5, params).evaluate(x)
 
     @pytest.mark.parametrize(
         "s, params",

@@ -68,6 +68,8 @@ def test_all_is_the_sorted_public_set():
         (continued_roots, "nested_radical_exponent"),
         (continued_roots.diagnostics, "nested_radical_exponent"),
         (continued_roots.ConvergenceDiagnostics, "radical_exponents"),
+        (continued_roots.TruncatedSeries, "power"),
+        (continued_roots.ExponentTarget, "power"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
