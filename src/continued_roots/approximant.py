@@ -10,14 +10,13 @@ makes that power law carry a prescribed target exponent beta in the limit
 of infinite nesting depth.
 """
 
-from __future__ import annotations
-
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import ComplexBreakdownError, RealnessError, VanishingSensitivityError
-from .series import TruncatedSeries, _factors, _power
+from .series import TruncatedSeries, _factors, _float, _power
 
 
 def exponent_to_power(exponent: float) -> float:
@@ -52,10 +51,7 @@ def _check_power(power: float) -> float:
     """The nesting power as a float, or ValueError unless it is finite,
     non-zero and -1 <= s < 1: the paper's s = beta / (1 + beta), beta > -1/2,
     with its continued-fraction case s = -1."""
-    try:
-        s = float(power)
-    except OverflowError:  # an int beyond the float range
-        s = math.inf
+    s = _float(power)
     if not -1.0 <= s < 1.0:
         if -math.inf < s < math.inf:
             raise ValueError(f"nesting power must satisfy -1 <= s < 1, got {power!r}")
@@ -65,14 +61,24 @@ def _check_power(power: float) -> float:
     return s
 
 
+def _index(order: int, name: str) -> int:
+    """An order as an int, or ValueError naming it unless it is an integer."""
+    try:
+        return operator.index(order)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {order!r}") from None
+
+
 def finite_order_exponent(power: float, order: int) -> float:
     """Exponent of the order-k form: the geometric sum s + s^2 + ... + s^k.
 
     Evaluated in closed form as (s - s**(k+1)) / (1 - s), which tends to the
     infinite-depth exponent s / (1 - s).  The power is checked as ``fit``
     checks it; in that domain the quotient is at most 2**54.  Raises
-    ValueError, naming the order, when the order leaves the float range.
+    ValueError, naming the order, when it is not an integer or leaves the
+    float range.
     """
+    order = _index(order, "order")
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     s = _check_power(power)
@@ -198,8 +204,7 @@ class ContinuedRootApproximant(Record):
     def __init__(self, power: float, params: tuple[float, ...]):
         if len(params) < 1:
             raise ValueError("an approximant needs at least one parameter")
-        params = tuple(map(float, params))
-        self._store(_check_power(power), params)
+        self._store(_check_power(power), tuple(map(_float, params)))
 
     @property
     def order(self) -> int:
@@ -216,11 +221,19 @@ class ContinuedRootApproximant(Record):
 
         The expansion is exact in the formal sense: coefficients beyond the
         nesting depth are the ones induced by the closed form, not zero.
-        One run of ``nested_expansion``, O(K**3) at order K.
+        One run of ``nested_expansion``, O(K**3) at order K.  Raises
+        ValueError, naming the order, unless it is a non-negative integer,
+        and, naming the first one, when a coefficient is NaN or infinite: a
+        non-finite parameter's, or one that leaves the float range.
         """
+        order = _index(order, "expansion order")
         if order < 0:
             raise ValueError(f"expansion order must be non-negative, got {order}")
-        return TruncatedSeries(tuple(nested_expansion(self.params, self.power, order)))
+        coeffs = nested_expansion(self.params, self.power, order)
+        for n, c in enumerate(coeffs):
+            if not -_INF < c < _INF:
+                raise ValueError(f"expansion coefficient c{n} is {c!r}, not finite")
+        return TruncatedSeries(tuple(coeffs))
 
     def evaluate(self, x: float) -> float:
         """Value of the nested form at x >= 0.

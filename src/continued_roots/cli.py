@@ -25,12 +25,10 @@ coefficient is generated.  Negative values (``--x -1e5``, ``--L -inf``)
 parse as values and meet the command's own check, and an ``eval`` point
 whose value leaves the float range is an error that names the point.
 
-Start-up is most of a command's cost, so modules only some commands need
-are imported where they are used: ``csv`` for ``--format csv`` and
-``random`` for ``pade-check``.
+Start-up is most of a command's cost, so ``random``, which only
+``pade-check`` needs, is imported where it is used, and ``--format csv``
+joins its cells without the ``csv`` module.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -210,7 +208,7 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
         name=name,
         target_exponent=float(beta),
         max_order=len(coeffs) - 1,
-        _generator=corpus._Fixed(tuple(coeffs)),
+        _generator=tuple(coeffs),
     )
 
 
@@ -293,15 +291,10 @@ def _command_fit(args: argparse.Namespace) -> int:
 
 
 def _render_table_csv(rows: Sequence[ReportRow]) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([_cell(value) for value in _row_values(row)])
-    return buffer.getvalue()
+    """What ``csv.writer`` writes by default (comma-separated, CRLF line
+    ends): no cell holds a comma, a quote or a line break, so none is quoted."""
+    lines = [CSV_HEADER] + [[_cell(value) for value in _row_values(row)] for row in rows]
+    return "".join(",".join(cells) + "\r\n" for cells in lines)
 
 
 def _row_values(row: ReportRow) -> tuple:

@@ -18,8 +18,6 @@ matched to the target one; the ``match_point`` field records that
 convention (1 for the problems quoted directly at the amplitude level).
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import Record
@@ -32,7 +30,9 @@ class BenchmarkProblem(Record):
     ``known_amplitude`` is the reference amplitude of x**target_exponent
     used as the error baseline; ``observable_exact`` is the published value
     of prefactor * amplitude where one exists.  ``max_order`` is None when
-    coefficients can be generated to any order.
+    coefficients can be generated to any order.  ``_generator`` is the tuple
+    of finitely many coefficients, so that the problem compares, hashes and
+    pickles by value, or a function of the order that returns c0..c_order.
     """
 
     __slots__ = (
@@ -53,7 +53,10 @@ class BenchmarkProblem(Record):
                 f"problem {self.name!r} has coefficients only through order "
                 f"{self.max_order}, got {order}"
             )
-        return self._generator(order)
+        generator = self._generator
+        if isinstance(generator, tuple):
+            return list(generator[: order + 1])
+        return generator(order)
 
 
 def string_exact_f(g: float) -> float:
@@ -80,7 +83,7 @@ def _string_ratios(order: int) -> list[tuple[int, int]]:
     return ratios
 
 
-def string_coefficients_exact(order: int) -> list[Fraction]:
+def string_coefficients_exact(order: int) -> "list[Fraction]":
     """Exact Taylor coefficients of the string closed form, all dyadic."""
     from fractions import Fraction
 
@@ -91,19 +94,6 @@ def string_coefficients(order: int) -> list[float]:
     """Float Taylor coefficients of the string closed form, any order, each
     correctly rounded, as Python's true division of integers is."""
     return [num / den for num, den in _string_ratios(order)]
-
-
-class _Fixed(Record):
-    """The generator of a problem with finitely many known coefficients.
-
-    A record of the coefficient tuple, so that such a problem compares,
-    hashes, prints and pickles by value like the other result types.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __call__(self, order: int) -> list[float]:
-        return list(self.coeffs[: order + 1])
 
 
 _PI_SQUARED = math.pi**2
@@ -117,9 +107,7 @@ _PROBLEMS = {
         max_order=5,
         known_amplitude=1.5,
         observable_exact=1.5,
-        _generator=_Fixed(
-            (1.0, 1.0, -1.0 / 8.0, 1.0 / 32.0, -1.0 / 128.0, 3.0 / 2048.0)
-        ),
+        _generator=(1.0, 1.0, -1.0 / 8.0, 1.0 / 32.0, -1.0 / 128.0, 3.0 / 2048.0),
     ),
     "froehlich_polaron": BenchmarkProblem(
         name="froehlich_polaron",
@@ -129,7 +117,7 @@ _PROBLEMS = {
         max_order=2,
         known_amplitude=0.108513,
         observable_exact=None,
-        _generator=_Fixed((1.0, 1.591962e-2, 0.806070e-3)),
+        _generator=(1.0, 1.591962e-2, 0.806070e-3),
     ),
     "fluid_membrane": BenchmarkProblem(
         name="fluid_membrane",
@@ -139,16 +127,9 @@ _PROBLEMS = {
         max_order=6,
         known_amplitude=0.064683,
         observable_exact=0.0798,
-        _generator=_Fixed(
-            (
-                1.0,
-                1.0 / 4.0,
-                1.0 / 32.0,
-                2.176347e-3,
-                0.552721e-4,
-                -0.721482e-5,
-                -1.777848e-6,
-            )
+        _generator=(
+            1.0, 1.0 / 4.0, 1.0 / 32.0, 2.176347e-3, 0.552721e-4, -0.721482e-5,
+            -1.777848e-6,
         ),
     ),
     "fluid_string": BenchmarkProblem(

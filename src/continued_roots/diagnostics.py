@@ -9,8 +9,6 @@ estimates across depths against a known limit, and ``depth_table`` builds
 that table for a problem from one fit at its largest depth.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 
@@ -18,7 +16,6 @@ from ._record import Record
 from .approximant import (
     ContinuedRootApproximant,
     ExponentTarget,
-    _MAX,
     _estimate,
     _exponent,
     _power_law,
@@ -29,7 +26,7 @@ from .approximant import (
 )
 from .corpus import BenchmarkProblem
 from .errors import ContinuedRootError, VanishingSensitivityError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _float
 
 
 class ConvergenceDiagnostics(Record):
@@ -162,7 +159,7 @@ def sequence_report(
     if not match_point > 0.0:
         raise ValueError(f"match point must be positive, got {match_point!r}")
     # an int beyond the float range fails each row, as an infinite one does
-    prefactor = observable_prefactor if observable_prefactor <= _MAX else math.inf
+    prefactor = _float(observable_prefactor)
     orders = [a.order for a in approximants]
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"depths must be strictly increasing, got {orders}")

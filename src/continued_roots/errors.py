@@ -5,8 +5,6 @@ machine-readable error objects.  ``Exception`` builds the ones with fields
 from their positional arguments, each field a read-only view of ``args``.
 """
 
-from __future__ import annotations
-
 
 def _arg(index: int, doc: str) -> property:
     """Read-only field that is ``args[index]``."""

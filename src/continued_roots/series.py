@@ -5,8 +5,7 @@ unknown rather than zero.  ``_power`` raises a series with constant term 1
 to a real power, once per level of the nested form's fit and expansion.
 """
 
-from __future__ import annotations
-
+import math
 from collections.abc import Sequence
 
 from ._record import Record
@@ -20,7 +19,7 @@ class TruncatedSeries(Record):
     def __init__(self, coeffs: tuple[float, ...]):
         if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least the constant term")
-        self._store(tuple(map(float, coeffs)))
+        self._store(tuple(map(_float, coeffs)))
 
     @property
     def order(self) -> int:
@@ -32,6 +31,15 @@ class TruncatedSeries(Record):
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+
+def _float(value: float) -> float:
+    """A number as a float, an int beyond the float range as the infinity of
+    its sign, which is how the checks of powers and arguments read it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _factors(s: float, n: int) -> list[float]:

@@ -184,6 +184,13 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError, match="order"):
             finite_order_exponent(0.5, 0)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, "3", None], ids=repr)
+    def test_finite_order_non_integer_order_rejected(self, order):
+        # 2.5 gave 0.8232233047033631 with no error
+        message = f"^order must be an integer, got {re.escape(repr(order))}$"
+        with pytest.raises(ValueError, match=message):
+            finite_order_exponent(0.5, order)
+
     def test_finite_order_beyond_float_range_names_the_order(self):
         order = 10**400
         with pytest.raises(ValueError, match=f"^order {order} leaves the float"):
@@ -270,6 +277,15 @@ class TestConstruction:
     def test_non_finite_params_allowed(self):
         approx = ContinuedRootApproximant(0.5, (math.nan, math.inf, -math.inf))
         assert approx.order == 3
+
+    def test_huge_int_param_is_an_infinity(self):
+        # an int such as 10**400 raised a bare OverflowError ("int too large
+        # to convert to float"); the form now holds it as the infinity of
+        # its sign
+        approx = ContinuedRootApproximant(0.5, (10**400, -(10**400), 2))
+        assert approx.params == (math.inf, -math.inf, 2.0)
+        with pytest.raises(ValueError, match="^expansion coefficient c1 is inf, "):
+            approx.expand(2)
 
 
 # An int too large for a float is not finite either: each entry point that
@@ -369,6 +385,41 @@ class TestExpand:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             ContinuedRootApproximant(0.5, (1.0,)).expand(-1)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, math.nan], ids=repr)
+    def test_non_integer_order_rejected(self, order):
+        # range() raised a bare TypeError
+        message = f"^expansion order must be an integer, got {order!r}$"
+        with pytest.raises(ValueError, match=message):
+            ContinuedRootApproximant(0.5, (1.0,)).expand(order)
+
+    @pytest.mark.parametrize(
+        "params, order, message",
+        [
+            ((math.nan,), 3, "c1 is nan"),
+            ((1.0, math.inf), 3, "c2 is inf"),
+            ((-math.inf,), 0, None),
+            # c1 = 5e+199 is finite, c2 = 1e400 / 8 - 1e400 / 4 is not
+            ((1e200, 1e200), 4, "c2 is nan"),
+        ],
+        ids=["nan", "inf-inner", "order-0", "overflow"],
+    )
+    def test_non_finite_coefficient_names_the_first(self, params, order, message):
+        # each gave NaN or infinite coefficients with no error
+        approx = ContinuedRootApproximant(0.5, params)
+        if message is None:  # an expansion past no parameter stays 1
+            assert approx.expand(order).coeffs == (1.0,)
+            return
+        with pytest.raises(ValueError, match=f"^expansion coefficient {message}, "):
+            approx.expand(order)
+
+    def test_fitted_form_whose_expansion_overflows(self):
+        # hypothesis drew it for TestFittedExpansion: c12 was NaN
+        series = TruncatedSeries((1.0, 2.757748480645497e-26, 1.0) + (0.0,) * 8)
+        form = fit(series, 0.125)
+        assert all(math.isfinite(a) for a in form.params)
+        with pytest.raises(ValueError, match="^expansion coefficient c12 is "):
+            form.expand(12)
 
 
 class TestFit:
@@ -895,15 +946,25 @@ class TestFittedExpansion:
     bits of a hand-built form with the same fields."""
 
     @staticmethod
-    def assert_expands_as_built(form, depth):
+    def expansion(form, n):
+        """The expansion's bits, or the message of the ValueError raised
+        where a coefficient leaves the float range."""
+        try:
+            return [c.hex() for c in form.expand(n).coeffs]
+        except ValueError as err:
+            return str(err)
+
+    @classmethod
+    def assert_expands_as_built(cls, form, depth):
         built = ContinuedRootApproximant(form.power, form.params)
         for n in range(depth + 3):
-            got = [c.hex() for c in form.expand(n).coeffs]
-            assert got == [c.hex() for c in built.expand(n).coeffs], n
+            assert cls.expansion(form, n) == cls.expansion(built, n), n
 
     @given(any_powers, shallow_coefficients)
     @example(-1, [0.5, 0.25, -0.125])
     @example(0.5, [1.0])
+    # from c12 on, both expansions raise
+    @example(0.125, [2.757748480645497e-26, 1.0] + [0.0] * 8)
     def test_expand_bitwise_as_built(self, s, coeffs):
         series = TruncatedSeries((1.0, *coeffs))
         try:

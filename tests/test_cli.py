@@ -1042,7 +1042,8 @@ class TestEntryPoints:
 # Standard-library modules that no command needs at start-up; the package
 # defers or avoids them because every CLI process would pay for them.
 DEFERRED_MODULES = {
-    "dataclasses", "inspect", "typing", "fractions", "decimal", "csv", "random"
+    "dataclasses", "inspect", "typing", "fractions", "decimal", "csv", "random",
+    "__future__",
 }
 
 IMPORT_PROBE = """
@@ -1071,14 +1072,16 @@ class TestStartup:
         assert package & DEFERRED_MODULES == set()
         assert (cli - parser_and_encoder) & DEFERRED_MODULES == set()
 
-    def test_string_table_needs_no_rational_arithmetic(self):
-        # fluid_string's floats come from integer quotients, not Fractions
+    @staticmethod
+    def loaded_after(argv, modules):
+        """Which of these modules a process started with -S has loaded after
+        ``main(argv)``, sorted."""
         src = Path(__file__).resolve().parent.parent / "src"
         probe = (
             "import sys\n"
             "from continued_roots.cli import main\n"
-            "main(['table', '--problem', 'fluid_string', '--kmax', '13'])\n"
-            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+            f"main({argv!r})\n"
+            f"print(sorted({modules!r} & set(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe],
@@ -1087,4 +1090,15 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        return proc.stdout.splitlines()[-1]
+
+    def test_string_table_needs_no_rational_arithmetic(self):
+        # fluid_string's floats come from integer quotients, not Fractions
+        argv = ["table", "--problem", "fluid_string", "--kmax", "13"]
+        assert self.loaded_after(argv, {"fractions", "decimal"}) == "[]"
+
+    def test_csv_table_needs_neither_csv_nor_future(self):
+        # the rendering joins its cells itself, and no module postpones its
+        # annotations, so neither module is compiled or loaded
+        argv = ["table", "--problem", "fluid_string", "--kmax", "13", "--format", "csv"]
+        assert self.loaded_after(argv, {"__future__", "csv"}) == "[]"

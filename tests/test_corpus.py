@@ -1,7 +1,9 @@
 """Built-in benchmark problems and the string closed form."""
 
 import math
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from continued_roots import (
     ExponentTarget,
     TruncatedSeries,
     UnknownProblemError,
+    cli,
     exponent_to_power,
     fit_sequence,
     problem,
@@ -107,6 +110,30 @@ class TestRegistry:
             membrane.coefficients(7)
         with pytest.raises(ValueError, match="non-negative"):
             membrane.coefficients(-1)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["nls_coherent_modes", "froehlich_polaron", "fluid_membrane", None],
+        ids=["nls_coherent_modes", "froehlich_polaron", "fluid_membrane", "file"],
+    )
+    def test_fixed_coefficients_are_a_tuple_of_values(self, name):
+        # the built-ins with finitely many coefficients, and a problem file;
+        # the twin holds an equal tuple that is a different object
+        if name is None:
+            path = Path(__file__).resolve().parent / "golden" / "problems" / "valid.json"
+            fixed, twin = (cli.load_problem_file(str(path)) for _ in range(2))
+        else:
+            fixed = problem(name)
+            fields = {f: getattr(fixed, f) for f in type(fixed).__slots__}
+            fields["_generator"] = tuple(list(fixed._generator))
+            twin = type(fixed)(**fields)
+        assert type(fixed._generator) is tuple
+        assert twin._generator is not fixed._generator
+        assert fixed.coefficients(fixed.max_order) == list(fixed._generator)
+        assert twin == fixed and hash(twin) == hash(fixed)
+        again = pickle.loads(pickle.dumps(fixed))
+        assert again == fixed and hash(again) == hash(fixed)
+        assert again.coefficients(1) == fixed.coefficients(1)
 
 
 class TestStringClosedForm:

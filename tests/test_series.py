@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from continued_roots import TruncatedSeries
+from continued_roots import TruncatedSeries, fit
 
 from oracles import fractional_power, power, power_via_exp_log, product
 
@@ -47,6 +47,17 @@ class TestConstruction:
     def test_coefficients_coerced_to_float(self):
         series = TruncatedSeries((1, 2, 3))
         assert all(isinstance(c, float) for c in series.coeffs)
+
+    def test_huge_int_is_an_infinity(self):
+        # an int such as 10**400 raised a bare OverflowError ("int too large
+        # to convert to float"); it is now the infinity of its sign, which
+        # fit rejects
+        series = TruncatedSeries((1, 10**400, -(10**400), math.nan))
+        assert series.coeffs[:3] == (1.0, math.inf, -math.inf)
+        assert math.isnan(series.coeffs[3])
+        message = "^fit requires finite coefficients; c1 is inf$"
+        with pytest.raises(ValueError, match=message):
+            fit(series, 0.5)
 
     def test_frozen(self):
         series = TruncatedSeries((1.0, 2.0))
