@@ -11,12 +11,11 @@ of infinite nesting depth.
 """
 
 import math
-import operator
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import ComplexBreakdownError, RealnessError, VanishingSensitivityError
-from .series import TruncatedSeries, _factors, _float, _power
+from .series import TruncatedSeries, _factors, _float, _order, _positive, _power
 
 
 def exponent_to_power(exponent: float) -> float:
@@ -61,14 +60,6 @@ def _check_power(power: float) -> float:
     return s
 
 
-def _index(order: int, name: str) -> int:
-    """An order as an int, or ValueError naming it unless it is an integer."""
-    try:
-        return operator.index(order)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {order!r}") from None
-
-
 def finite_order_exponent(power: float, order: int) -> float:
     """Exponent of the order-k form: the geometric sum s + s^2 + ... + s^k.
 
@@ -78,9 +69,7 @@ def finite_order_exponent(power: float, order: int) -> float:
     ValueError, naming the order, when it is not an integer or leaves the
     float range.
     """
-    order = _index(order, "order")
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    order = _order(order, "order", 1)
     s = _check_power(power)
     try:
         return _exponent(s, order)
@@ -165,8 +154,7 @@ class AmplitudeResult(Record):
         Raises ValueError unless match_point > 0, and, naming the depth,
         when the conversion or its product with a finite B_k overflows.
         """
-        if not match_point > 0.0:
-            raise ValueError(f"match point must be positive, got {match_point!r}")
+        _positive(match_point, "match point")
         return _estimate(*self._values(), target_exponent, match_point)
 
 
@@ -226,9 +214,7 @@ class ContinuedRootApproximant(Record):
         and, naming the first one, when a coefficient is NaN or infinite: a
         non-finite parameter's, or one that leaves the float range.
         """
-        order = _index(order, "expansion order")
-        if order < 0:
-            raise ValueError(f"expansion order must be non-negative, got {order}")
+        order = _order(order, "expansion order", 0)
         coeffs = nested_expansion(self.params, self.power, order)
         for n, c in enumerate(coeffs):
             if not -_INF < c < _INF:
@@ -260,7 +246,8 @@ class ContinuedRootApproximant(Record):
         float range.
         """
         b, k = _power_law(self.params, self.power), len(self.params)
-        return AmplitudeResult(b, finite_order_exponent(self.power, k), k)
+        # the form's power passed its check when it was built or fitted
+        return AmplitudeResult(b, _exponent(self.power, k), k)
 
     def asymptote(self, x: float) -> float:
         """B_k * x**beta_k, the large-argument law at a point x > 0, as
@@ -443,16 +430,15 @@ def fit_sequence(
     """One approximant per requested depth, from truncations of a series.
 
     The parameters at depth k are the first k of every deeper fit, bit for
-    bit, so one fit at the largest requested depth serves them all.
+    bit, so one fit at the largest requested depth serves them all.  Raises
+    ValueError unless each depth is an integer from 1 to the series order.
     """
     orders = list(orders)
     for k in orders:
-        if k > series.order:
+        if _order(k, "depth", 1) > series.order:
             raise ValueError(
                 f"depth {k} exceeds the available series order {series.order}"
             )
-        if k < 1:
-            raise ValueError(f"depth must be at least 1, got {k}")
     if not orders:
         return []
     deepest = fit(TruncatedSeries(series.coeffs[: max(orders) + 1]), power)

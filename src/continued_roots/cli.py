@@ -46,7 +46,7 @@ from .approximant import (
 )
 from .diagnostics import ReportRow, depth_table, herschfeld_terms
 from .errors import ContinuedRootError, RealnessError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _order, _positive
 
 CSV_HEADER = ["k", "B_k", "beta_k", "observable", "percent_error"]
 
@@ -225,10 +225,7 @@ def _optional_positive(data: dict, field: str) -> float:
     """An optional positive field, 1 when absent or null."""
     value = _optional_number(data, field)
     value = 1.0 if value is None else value
-    if not value > 0.0:
-        raise ValueError(
-            f"problem file field {field!r} must be positive, got {value!r}"
-        )
+    _positive(value, f"problem file field {field!r}")
     return value
 
 
@@ -250,9 +247,7 @@ def _resolve_problem(args: argparse.Namespace) -> corpus.BenchmarkProblem:
 
 def _check_depth(option: str, value: int, lowest: int) -> None:
     """Reject a depth option outside lowest..MAX_DEPTH, naming the option."""
-    if value < lowest:
-        raise ValueError(f"{option} must be at least {lowest}, got {value}")
-    if value > MAX_DEPTH:
+    if _order(value, option, lowest) > MAX_DEPTH:
         raise ValueError(f"{option} must be at most {MAX_DEPTH}, got {value}")
 
 

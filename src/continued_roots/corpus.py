@@ -22,6 +22,7 @@ import math
 
 from ._record import Record
 from .errors import UnknownProblemError
+from .series import _order
 
 
 class BenchmarkProblem(Record):
@@ -43,11 +44,10 @@ class BenchmarkProblem(Record):
     def coefficients(self, order: int) -> list[float]:
         """Expansion coefficients c0..c_order.
 
-        Raises ValueError when the problem has only finitely many known
-        coefficients and more are requested.
+        Raises ValueError unless the order is a non-negative integer, at
+        most ``max_order`` when the problem knows only that many.
         """
-        if order < 0:
-            raise ValueError(f"order must be non-negative, got {order}")
+        order = _order(order, "order", 0)
         if self.max_order is not None and order > self.max_order:
             raise ValueError(
                 f"problem {self.name!r} has coefficients only through order "
@@ -72,8 +72,7 @@ def _string_ratios(order: int) -> list[tuple[int, int]]:
     c_(2m+1) = C(1/2, m) / (4 * 64**m), where
     C(1/2, m) = (-1)**(m+1) C(2m, m) / ((2m - 1) 4**m).
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    order = _order(order, "order", 0)
     ratios = [(1, 1)] + [(0, 1)] * order
     if order >= 2:
         ratios[2] = (1, 32)
@@ -92,7 +91,8 @@ def string_coefficients_exact(order: int) -> "list[Fraction]":
 
 def string_coefficients(order: int) -> list[float]:
     """Float Taylor coefficients of the string closed form, any order, each
-    correctly rounded, as Python's true division of integers is."""
+    correctly rounded, as Python's true division of integers is.  Raises
+    ValueError unless the order is a non-negative integer."""
     return [num / den for num, den in _string_ratios(order)]
 
 

@@ -26,7 +26,7 @@ from .approximant import (
 )
 from .corpus import BenchmarkProblem
 from .errors import ContinuedRootError, VanishingSensitivityError
-from .series import TruncatedSeries, _float
+from .series import TruncatedSeries, _float, _order, _positive
 
 
 class ConvergenceDiagnostics(Record):
@@ -79,10 +79,7 @@ def herschfeld_terms(
         raise ValueError(
             f"the boundedness criterion requires |power| < 1, got {s!r}"
         )
-    if not variable_bound > 0.0:
-        raise ValueError(
-            f"variable bound must be positive, got {variable_bound!r}"
-        )
+    _positive(variable_bound, "variable bound")
     _require_positive(approximant.params, "the certificate")
     m = max(approximant.params)
     try:
@@ -152,12 +149,8 @@ def sequence_report(
     Raises ValueError when depths are not strictly increasing or the
     prefactor is not positive.
     """
-    if not observable_prefactor > 0.0:
-        raise ValueError(
-            f"observable prefactor must be positive, got {observable_prefactor!r}"
-        )
-    if not match_point > 0.0:
-        raise ValueError(f"match point must be positive, got {match_point!r}")
+    _positive(observable_prefactor, "observable prefactor")
+    _positive(match_point, "match point")
     # an int beyond the float range fails each row, as an infinite one does
     prefactor = _float(observable_prefactor)
     orders = [a.order for a in approximants]
@@ -208,11 +201,11 @@ def depth_table(problem: BenchmarkProblem, kmax: int) -> ExtrapolationReport:
     same one; shallower depths are reported from a fit at depth n - 1,
     whose parameters are those solved before the failure.
 
-    Raises ValueError when kmax is below 2 or the problem cannot supply
-    kmax coefficients, and the ValueError of ``fit`` for invalid series.
+    Raises ValueError unless kmax is an integer of at least 2, when the
+    problem cannot supply kmax coefficients, and the ValueError of ``fit``
+    for invalid series.
     """
-    if kmax < 2:
-        raise ValueError(f"kmax must be at least 2, got {kmax}")
+    kmax = _order(kmax, "kmax", 2)
     power = exponent_to_power(problem.target_exponent)
     series = TruncatedSeries(tuple(problem.coefficients(kmax)))
     try:

@@ -6,6 +6,7 @@ to a real power, once per level of the nested form's fit and expansion.
 """
 
 import math
+import operator
 from collections.abc import Sequence
 
 from ._record import Record
@@ -40,6 +41,24 @@ def _float(value: float) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _order(value: int, name: str, lowest: int) -> int:
+    """An order or depth as an int, or ValueError naming it unless >= lowest."""
+    try:
+        order = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if order < lowest:
+        bound = f"at least {lowest}" if lowest else "non-negative"
+        raise ValueError(f"{name} must be {bound}, got {order}")
+    return order
+
+
+def _positive(value: float, name: str) -> None:
+    """ValueError naming the value unless it is > 0 (NaN is not)."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _factors(s: float, n: int) -> list[float]:

@@ -3,6 +3,7 @@
 import math
 import pickle
 from fractions import Fraction
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from continued_roots import (
     TruncatedSeries,
     UnknownProblemError,
     cli,
+    depth_table,
     exponent_to_power,
     fit_sequence,
     problem,
@@ -240,3 +242,32 @@ class TestCrossChecks:
         string = problem("fluid_string")
         implied = string.observable_prefactor * string.known_amplitude
         assert implied == pytest.approx(string.observable_exact, rel=1e-15)
+
+
+_STRING_SERIES = TruncatedSeries(tuple(string_coefficients(4)))
+
+# Each reads an order or depth through the package's one reader, whose
+# ValueError names the argument.
+ORDER_READERS = [
+    ("tuple problem", "order", problem("nls_coherent_modes").coefficients),
+    ("function problem", "order", problem("fluid_string").coefficients),
+    ("string_coefficients", "order", string_coefficients),
+    ("string_coefficients_exact", "order", string_coefficients_exact),
+    (
+        "fit_sequence",
+        "depth",
+        lambda k: fit_sequence(_STRING_SERIES, exponent_to_power(2.0), [k]),
+    ),
+    ("depth_table", "kmax", lambda k: depth_table(problem("fluid_string"), k)),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+@pytest.mark.parametrize(
+    "name, read", [case[1:] for case in ORDER_READERS],
+    ids=[case[0] for case in ORDER_READERS],
+)
+def test_non_integer_orders_raise_the_readers_value_error(name, read, value):
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        read(value)

@@ -70,6 +70,7 @@ def test_all_is_the_sorted_public_set():
         (continued_roots.ConvergenceDiagnostics, "radical_exponents"),
         (continued_roots.TruncatedSeries, "power"),
         (continued_roots.ExponentTarget, "power"),
+        (approximant, "_index"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
