@@ -27,10 +27,17 @@ whose value leaves the float range is an error that names the point.
 
 Start-up is most of a command's cost, so ``random``, which only
 ``pade-check`` needs, is imported where it is used, and ``--format csv``
-joins its cells without the ``csv`` module.
+joins its cells without the ``csv`` module.  Exit costs too: the
+interpreter's shutdown runs full garbage collections over every object it
+tracks, about 2 ms each for the 12k objects of a ``table`` process
+(CPython 3.11 on a shared 2-vCPU VM).  A process enters through ``run``,
+which freezes the collector once ``main`` is done, so that those
+collections skip every object; ``main`` leaves the collector alone, for
+callers that run it in-process.
 """
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -484,5 +491,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry of ``python -m`` and of the console script:
+    ``main`` on ``sys.argv``, then ``gc.freeze()`` on every way out,
+    ``--help``'s ``SystemExit`` included."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -36,7 +36,14 @@ class TruncatedSeries(Record):
 
 def _float(value: float) -> float:
     """A number as a float, an int beyond the float range as the infinity of
-    its sign, which is how the checks of powers and arguments read it."""
+    its sign, which is how the checks of powers and arguments read it.
+    Text (``str``, ``bytes``, ``bytearray``), which ``float()`` would parse,
+    is a ValueError naming the value; a float, the common case, returns at
+    the first test."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ValueError(f"expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -44,8 +51,11 @@ def _float(value: float) -> float:
 
 
 def _order(value: int, name: str, lowest: int) -> int:
-    """An order or depth as an int, or ValueError naming it unless >= lowest."""
+    """An order or depth as an int, or ValueError naming it unless >= lowest.
+    A bool is not an order, though ``operator.index`` reads it as 0 or 1."""
     try:
+        if type(value) is bool:
+            raise TypeError
         order = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -287,6 +287,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^expansion coefficient c1 is inf, "):
             approx.expand(2)
 
+    def test_text_is_not_a_number(self):
+        # float() parses text, so ContinuedRootApproximant('0.5', ('1', b'2'))
+        # built power=0.5, params=(1.0, 2.0)
+        with pytest.raises(ValueError, match="^expected a number, got '0.5'$"):
+            ContinuedRootApproximant("0.5", (1.0, 2.0))
+        with pytest.raises(ValueError, match="^expected a number, got b'2'$"):
+            ContinuedRootApproximant(0.5, (1.0, b"2"))
+        with pytest.raises(ValueError, match=r"^expected a number, got bytearray\(b'2'\)$"):
+            ContinuedRootApproximant(0.5, (bytearray(b"2"),))
+
+
+def test_text_power_is_not_a_number():
+    # float() parsed it, so fit(TruncatedSeries((1.0, 0.5)), '0.5') fitted
+    with pytest.raises(ValueError, match="^expected a number, got '0.5'$"):
+        fit(TruncatedSeries((1.0, 0.5)), "0.5")
+
 
 # An int too large for a float is not finite either: each entry point that
 # takes a power says so in its own words, not with a bare OverflowError.

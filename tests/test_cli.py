@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, error objects, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from continued_roots import (
     problem,
     sequence_report,
 )
-from continued_roots import corpus
+from continued_roots import cli, corpus
 from continued_roots.cli import (
     MAX_DEPTH,
     _render_table_csv,
@@ -1037,6 +1038,68 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["s"] == pytest.approx(2.0 / 3.0)
+
+
+class TestProcessEntry:
+    """``run`` freezes the collector once ``main`` is done, so that the
+    interpreter's shutdown skips its full collections; ``main`` never does."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        return events
+
+    def test_run_freezes_once_after_main_returns(self, events, monkeypatch, capsys):
+        main_ = cli.main
+
+        def recorded():
+            status = main_()
+            events.append(f"main returned {status}")
+            return status
+
+        monkeypatch.setattr(cli, "main", recorded)
+        monkeypatch.setattr(
+            sys, "argv", ["continued-roots", "fit", "--problem", "fluid_string", "--order", "2"]
+        )
+        assert cli.run() == 0
+        assert events == ["main returned 0", "freeze"]
+        assert json.loads(capsys.readouterr().out)["s"] == pytest.approx(2.0 / 3.0)
+
+    def test_run_freezes_when_main_exits(self, events, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["continued-roots", "fit", "--help"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 0
+        assert events == ["freeze"]
+        assert capsys.readouterr().out.startswith("usage: continued-roots fit")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--problem", "fluid_string", "--order", "2"],
+            ["fit", "--problem", "no_such_problem", "--order", "2"],
+            ["fit", "--order", "2"],
+        ],
+        ids=["fit", "error", "usage"],
+    )
+    def test_main_never_freezes(self, events, capsys, argv):
+        main(argv)
+        assert events == []
+
+    def test_module_runs_through_run(self):
+        # as python -m does, and perfbench's memory worker in-process
+        probe = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['continued_roots.cli', 'fit', '--problem', 'fluid_string', '--order', '2']\n"
+            "try:\n"
+            "    runpy.run_module('continued_roots.cli', run_name='__main__')\n"
+            "except SystemExit as exit_:\n"
+            "    print(exit_.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["0", "True"]
 
 
 # Standard-library modules that no command needs at start-up; the package

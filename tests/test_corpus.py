@@ -262,7 +262,7 @@ ORDER_READERS = [
 ]
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None, True, False])
 @pytest.mark.parametrize(
     "name, read", [case[1:] for case in ORDER_READERS],
     ids=[case[0] for case in ORDER_READERS],

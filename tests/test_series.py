@@ -1,6 +1,7 @@
 """Truncated-series arithmetic: examples, contracts, and invariants."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -58,6 +59,14 @@ class TestConstruction:
         message = "^fit requires finite coefficients; c1 is inf$"
         with pytest.raises(ValueError, match=message):
             fit(series, 0.5)
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", b"0.5", bytearray(b"0.5")], ids=["str", "bytes", "bytearray"]
+    )
+    def test_text_is_not_a_number(self, text):
+        # float() parses text, so TruncatedSeries(("1", "0.5")) built a series
+        with pytest.raises(ValueError, match=f"^expected a number, got {re.escape(repr(text))}$"):
+            TruncatedSeries((1.0, text))
 
     def test_frozen(self):
         series = TruncatedSeries((1.0, 2.0))
