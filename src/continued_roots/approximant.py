@@ -25,13 +25,12 @@ def exponent_to_power(exponent: float) -> float:
     |s| < 1 and the infinite-depth construction converges, and one small
     enough that s does not round to 1.
     """
-    if not -0.5 < exponent < math.inf:
-        if -math.inf < exponent < math.inf:
+    beta = _float(exponent)
+    if not -0.5 < beta < _INF:
+        if -_INF < beta < _INF:
             raise ValueError(f"target exponent must exceed -1/2, got {exponent!r}")
         raise ValueError(f"target exponent must be finite, got {exponent!r}")
-    # from about 9.007e15 up, s rounds to 1; past 2**63, skip the sum that
-    # overflows for an int beyond the float range
-    power = exponent / (1.0 + exponent) if exponent < 2.0**63 else 1.0
+    power = beta / (1.0 + beta)  # rounds to 1 from about 9.007e15 up
     if not power < 1.0:
         raise ValueError(
             f"target exponent must leave beta / (1 + beta) below 1, got {exponent!r}"
@@ -41,9 +40,10 @@ def exponent_to_power(exponent: float) -> float:
 
 def power_to_exponent(power: float) -> float:
     """Large-argument exponent realised by a nesting power s, s / (1 - s)."""
-    if not abs(power) < 1.0:
+    s = _float(power)
+    if not abs(s) < 1.0:
         raise ValueError(f"nesting power must satisfy |s| < 1, got {power!r}")
-    return power / (1.0 - power)
+    return s / (1.0 - s)
 
 
 def _check_power(power: float) -> float:
@@ -135,10 +135,10 @@ class ExponentTarget(Record):
 
     def __init__(self, exponent: float, amplitude: float | None = None):
         exponent_to_power(exponent)  # raises unless finite and > -1/2
+        if amplitude is not None and not -_INF < _float(amplitude) < _INF:
+            raise ValueError(f"known amplitude must be finite, got {amplitude!r}")
         if amplitude == 0.0:
             raise ValueError(f"known amplitude must be non-zero, got {amplitude!r}")
-        if amplitude is not None and not -_MAX <= amplitude <= _MAX:
-            raise ValueError(f"known amplitude must be finite, got {amplitude!r}")
         self._store(exponent, amplitude)
 
 
@@ -154,8 +154,8 @@ class AmplitudeResult(Record):
         Raises ValueError unless match_point > 0, and, naming the depth,
         when the conversion or its product with a finite B_k overflows.
         """
-        _positive(match_point, "match point")
-        return _estimate(*self._values(), target_exponent, match_point)
+        _positive(match_point, "match point")  # an int beyond the floats stays exact
+        return _estimate(*self._values(), _float(target_exponent), match_point)
 
 
 def _estimate(b: float, beta: float, k: int, target: float, point: float) -> float:
@@ -230,11 +230,12 @@ class ContinuedRootApproximant(Record):
         finite, or, as ``nested_evaluate`` says, where a base overflows and
         logs cannot recover the value or a base is NaN.
         """
-        if not 0.0 <= x <= _MAX:
-            if x < 0.0:
+        real = x if type(x) is float else _float(x)  # a float skips the call
+        if not 0.0 <= real < _INF:
+            if real < 0.0:
                 raise ValueError(f"argument must be non-negative, got {x!r}")
             raise ValueError(f"argument must be finite, got {x!r}")
-        return nested_evaluate(self.params, self.power, float(x))
+        return nested_evaluate(self.params, self.power, real)
 
     def amplitude(self) -> AmplitudeResult:
         """Large-argument power law of this form.
@@ -251,8 +252,10 @@ class ContinuedRootApproximant(Record):
 
     def asymptote(self, x: float) -> float:
         """B_k * x**beta_k, the large-argument law at a point x > 0, as
-        ``amplitude().estimate(0.0, x)``, whose ValueError names x."""
-        if not 0.0 < x < math.inf:
+        ``amplitude().estimate(0.0, x)``; its ValueError names x, and an int
+        x beyond the float range converts in logs."""
+        _float(x)  # ValueError unless x is a number
+        if not 0.0 < x < _INF:
             if x <= 0.0:
                 raise ValueError(f"asymptote requires x > 0, got {x!r}")
             raise ValueError(f"argument must be finite, got {x!r}")
@@ -351,7 +354,6 @@ def nested_evaluate(params: Sequence[float], s: float, x: float) -> float:
 
 
 _INF = math.inf  # a module global: faster to load per bracket than math.inf
-_MAX = math.nextafter(_INF, 0.0)  # an int above it is beyond the float range
 
 
 def _fit_power(series: TruncatedSeries, power: float) -> float:

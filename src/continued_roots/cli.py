@@ -53,7 +53,7 @@ from .approximant import (
 )
 from .diagnostics import ReportRow, depth_table, herschfeld_terms
 from .errors import ContinuedRootError, RealnessError
-from .series import TruncatedSeries, _order, _positive
+from .series import TruncatedSeries, _float, _order, _positive
 
 CSV_HEADER = ["k", "B_k", "beta_k", "observable", "percent_error"]
 
@@ -192,7 +192,7 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
             "problem file field 'coefficients' must be a list of at least "
             "two finite numbers"
         )
-    coeffs = [float(c) for c in coeffs]
+    coeffs = [_float(c) for c in coeffs]
     if coeffs[0] != 1.0:
         raise ValueError(
             "problem file coefficients must be normalised so the first "
@@ -213,36 +213,31 @@ def load_problem_file(path: str) -> corpus.BenchmarkProblem:
         observable_prefactor=_optional_positive(data, "observable_prefactor"),
         match_point=_optional_positive(data, "match_point"),
         name=name,
-        target_exponent=float(beta),
+        target_exponent=_float(beta),
         max_order=len(coeffs) - 1,
         _generator=tuple(coeffs),
     )
 
 
 def _optional_number(data: dict, field: str) -> float | None:
-    if field not in data or data[field] is None:
-        return None
-    value = data[field]
-    if not _is_number(value):
+    value = data.get(field)
+    if value is not None and not _is_number(value):
         raise ValueError(f"problem file field {field!r} must be a finite number")
-    return float(value)
+    return None if value is None else _float(value)
 
 
 def _optional_positive(data: dict, field: str) -> float:
     """An optional positive field, 1 when absent or null."""
     value = _optional_number(data, field)
-    value = 1.0 if value is None else value
-    _positive(value, f"problem file field {field!r}")
-    return value
+    return _positive(1.0 if value is None else value, f"problem file field {field!r}")
 
 
 def _is_number(value: object) -> bool:
-    """True for a finite JSON number; JSON true and false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+    """True for a finite number as ``series._float`` reads it: JSON true and
+    false, text, null, a list and an int beyond the float range are not."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
+        return math.isfinite(_float(value))
+    except ValueError:
         return False
 
 

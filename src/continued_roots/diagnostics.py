@@ -26,7 +26,7 @@ from .approximant import (
 )
 from .corpus import BenchmarkProblem
 from .errors import ContinuedRootError, VanishingSensitivityError
-from .series import TruncatedSeries, _float, _order, _positive
+from .series import TruncatedSeries, _order, _positive
 
 
 class ConvergenceDiagnostics(Record):
@@ -79,11 +79,11 @@ def herschfeld_terms(
         raise ValueError(
             f"the boundedness criterion requires |power| < 1, got {s!r}"
         )
-    _positive(variable_bound, "variable bound")
+    bound = _positive(variable_bound, "variable bound")
     _require_positive(approximant.params, "the certificate")
     m = max(approximant.params)
     try:
-        lm = variable_bound * m  # OverflowError for an int L beyond the floats
+        lm = bound * m
         if lm == math.inf:
             raise OverflowError  # L*M itself overflowed
         terms = tuple(lm ** _exponent(s, n) for n in range(1, approximant.order))
@@ -149,10 +149,9 @@ def sequence_report(
     Raises ValueError when depths are not strictly increasing or the
     prefactor is not positive.
     """
-    _positive(observable_prefactor, "observable prefactor")
+    # an int prefactor beyond the float range fails each row, as inf does
+    prefactor = _positive(observable_prefactor, "observable prefactor")
     _positive(match_point, "match point")
-    # an int beyond the float range fails each row, as an infinite one does
-    prefactor = _float(observable_prefactor)
     orders = [a.order for a in approximants]
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"depths must be strictly increasing, got {orders}")

@@ -35,17 +35,18 @@ class TruncatedSeries(Record):
 
 
 def _float(value: float) -> float:
-    """A number as a float, an int beyond the float range as the infinity of
-    its sign, which is how the checks of powers and arguments read it.
-    Text (``str``, ``bytes``, ``bytearray``), which ``float()`` would parse,
-    is a ValueError naming the value; a float, the common case, returns at
-    the first test."""
+    """A real number as a float: the package's one reading of a real argument
+    or a problem-file number.  A float returns at the first test; an int
+    beyond the float range reads as the infinity of its sign.  A bool, text
+    and what ``float()`` refuses (None, a list) are a ValueError naming it."""
     if type(value) is float:
         return value
-    if isinstance(value, (str, bytes, bytearray)):
-        raise ValueError(f"expected a number, got {value!r}")
     try:
+        if type(value) is bool or isinstance(value, (str, bytes, bytearray)):
+            raise TypeError
         return float(value)
+    except TypeError:
+        raise ValueError(f"expected a number, got {value!r}") from None
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
@@ -65,10 +66,12 @@ def _order(value: int, name: str, lowest: int) -> int:
     return order
 
 
-def _positive(value: float, name: str) -> None:
-    """ValueError naming the value unless it is > 0 (NaN is not)."""
-    if not value > 0.0:
+def _positive(value: float, name: str) -> float:
+    """The value as ``_float`` reads it; ValueError naming it unless > 0."""
+    number = _float(value)
+    if not number > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return number
 
 
 def _factors(s: float, n: int) -> list[float]:

@@ -27,6 +27,7 @@ from continued_roots import (
     finite_order_exponent,
     fit,
     fit_sequence,
+    herschfeld_terms,
     power_to_exponent,
     problem,
     sequence_report,
@@ -108,23 +109,25 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError):
             exponent_to_power(-3.0)
 
-    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "exponent", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")]
+    )
     def test_exponent_to_power_rejects_non_finite(self, exponent):
-        # inf / (1 + inf) would be NaN rather than an error
+        # inf / (1 + inf) would be NaN rather than an error; an int beyond
+        # the float range reads as inf
         message = f"^target exponent must be finite, got {exponent!r}$"
         with pytest.raises(ValueError, match=message):
             exponent_to_power(exponent)
 
     @pytest.mark.parametrize(
         "exponent",
-        [9007199779152872.0, 1e16, 1e17, 2.0**63, 10**400],
-        ids=["first", "1e16", "1e17", "2**63", "10**400"],
+        [9007199779152872.0, 1e16, 1e17, 2.0**63],
+        ids=["first", "1e16", "1e17", "2**63"],
     )
     def test_exponent_to_power_rejects_a_beta_whose_power_rounds_to_one(
         self, exponent
     ):
-        # beta / (1 + beta) rounds to 1.0 from 9007199779152872.0 up; an int
-        # beyond the float range has no float sum at all
+        # beta / (1 + beta) rounds to 1.0 from 9007199779152872.0 up
         message = (
             f"target exponent must leave beta / (1 + beta) below 1, got {exponent!r}"
         )
@@ -296,12 +299,56 @@ class TestConstruction:
             ContinuedRootApproximant(0.5, (1.0, b"2"))
         with pytest.raises(ValueError, match=r"^expected a number, got bytearray\(b'2'\)$"):
             ContinuedRootApproximant(0.5, (bytearray(b"2"),))
+        # float() refused these with a bare TypeError, and read True as 1.0
+        for value in (None, [1.0], 1j, True):
+            message = f"^expected a number, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                ContinuedRootApproximant(value, (1.0, 2.0))
+            with pytest.raises(ValueError, match=message):
+                ContinuedRootApproximant(0.5, (1.0, value))
 
 
 def test_text_power_is_not_a_number():
     # float() parsed it, so fit(TruncatedSeries((1.0, 0.5)), '0.5') fitted
     with pytest.raises(ValueError, match="^expected a number, got '0.5'$"):
         fit(TruncatedSeries((1.0, 0.5)), "0.5")
+
+
+_FORM = ContinuedRootApproximant(0.5, (1.0, 0.5))
+
+
+# Each site compared the value with a float, or passed it to float(),
+# before reading it, so text and None raised a bare TypeError ("'<' not
+# supported between instances of 'float' and 'str'"), and evaluate read
+# True as 1.0.
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (exponent_to_power, "1"),
+        (ExponentTarget, "1"),
+        (lambda v: ExponentTarget(1.0, v), "2"),
+        (_FORM.evaluate, "1"),
+        (_FORM.asymptote, "1"),
+        (lambda v: herschfeld_terms(_FORM, v), "1"),
+        (lambda v: sequence_report([_FORM], ExponentTarget(1.0), v), "1"),
+        (lambda v: _FORM.amplitude().estimate(1.0, v), "2"),
+        (power_to_exponent, "0.5"),
+        (_FORM.evaluate, None),
+        (lambda v: fit(TruncatedSeries((1.0, 0.5)), v), None),
+        (_FORM.evaluate, True),
+        (lambda v: _FORM.amplitude().estimate(v), "1"),
+        (lambda v: sequence_report([_FORM], ExponentTarget(1.0), match_point=v), "2"),
+    ],
+    ids=[
+        "exponent_to_power", "target exponent", "target amplitude", "evaluate",
+        "asymptote", "herschfeld_terms", "sequence_report prefactor",
+        "estimate match point", "power_to_exponent", "evaluate None", "fit None",
+        "evaluate True", "estimate target", "sequence_report match point",
+    ],
+)
+def test_every_real_argument_rejects_what_is_not_a_number(call, value):
+    with pytest.raises(ValueError, match=f"^expected a number, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 # An int too large for a float is not finite either: each entry point that

@@ -61,10 +61,14 @@ class TestConstruction:
             fit(series, 0.5)
 
     @pytest.mark.parametrize(
-        "text", ["0.5", b"0.5", bytearray(b"0.5")], ids=["str", "bytes", "bytearray"]
+        "text",
+        ["0.5", b"0.5", bytearray(b"0.5"), None, [1.0], 1j, True],
+        ids=["str", "bytes", "bytearray", "None", "list", "complex", "bool"],
     )
     def test_text_is_not_a_number(self, text):
-        # float() parses text, so TruncatedSeries(("1", "0.5")) built a series
+        # float() parses text, so TruncatedSeries(("1", "0.5")) built a
+        # series; it refused None, a list and a complex with a bare
+        # TypeError, and read True as 1.0
         with pytest.raises(ValueError, match=f"^expected a number, got {re.escape(repr(text))}$"):
             TruncatedSeries((1.0, text))
 
