@@ -190,8 +190,11 @@ class ContinuedRootApproximant(Record):
     __slots__ = ("power", "params")
 
     def __init__(self, power: float, params: tuple[float, ...]):
-        if len(params) < 1:
-            raise ValueError("an approximant needs at least one parameter")
+        try:
+            if len(params) < 1:
+                raise ValueError("an approximant needs at least one parameter")
+        except TypeError:  # no len(): a number or an iterator
+            raise ValueError(f"params must be a sequence, got {params!r}") from None
         self._store(_check_power(power), tuple(map(_float, params)))
 
     @property
@@ -433,9 +436,12 @@ def fit_sequence(
 
     The parameters at depth k are the first k of every deeper fit, bit for
     bit, so one fit at the largest requested depth serves them all.  Raises
-    ValueError unless each depth is an integer from 1 to the series order.
+    ValueError unless ``orders`` iterates integers from 1 to the series order.
     """
-    orders = list(orders)
+    try:
+        orders = list(orders)
+    except TypeError:
+        raise ValueError(f"orders must be iterable, got {orders!r}") from None
     for k in orders:
         if _order(k, "depth", 1) > series.order:
             raise ValueError(

@@ -27,7 +27,11 @@ whose value leaves the float range is an error that names the point.
 
 Start-up is most of a command's cost, so ``random``, which only
 ``pade-check`` needs, is imported where it is used, and ``--format csv``
-joins its cells without the ``csv`` module.  Exit costs too: the
+joins its cells without the ``csv`` module.  argparse, with the gettext and
+locale it loads, runs only for ``--help`` and usage errors: ``_read`` reads a
+well-formed argv from the option table that ``build_parser`` builds its
+parser from, and declines any other, so help, usage messages and every other
+output are unchanged, byte for byte.  Exit costs too: the
 interpreter's shutdown runs full garbage collections over every object it
 tracks, about 2 ms each for the 12k objects of a ``table`` process
 (CPython 3.11 on a shared 2-vCPU VM).  A process enters through ``run``,
@@ -36,13 +40,12 @@ collections skip every object; ``main`` leaves the collector alone, for
 callers that run it in-process.
 """
 
-import argparse
 import gc
 import json
 import math
-import re
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import corpus
 from .approximant import (
@@ -60,98 +63,6 @@ CSV_HEADER = ["k", "B_k", "beta_k", "observable", "percent_error"]
 # Largest --order and --kmax; the fit costs O(K^3), 0.29-0.35 s at 256
 # (CPython 3.11 on a shared 2-vCPU VM).
 MAX_DEPTH = 256
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so that ``main`` prints them as JSON errors.
-
-    Every negative float literal (``-1e5``, ``-inf``, ``-nan``) is read as a
-    value, not as an option, so the command's own check names the fault;
-    argparse alone reads only ``-N`` and ``-N.N`` as numbers.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
-
-    def error(self, message: str):
-        raise ValueError(f"{self.prog}: {message}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="continued-roots",
-        description="Extrapolate small-argument expansions to large-argument "
-        "power laws with continued-root approximants.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser(
-        "fit", help="fit one approximant and print its parameters"
-    )
-    _add_source_arguments(p_fit)
-    p_fit.add_argument(
-        "--order", type=int, required=True, help="nesting depth k"
-    )
-
-    p_table = sub.add_parser(
-        "table", help="fit depths 2..kmax and print the extrapolation report"
-    )
-    _add_source_arguments(p_table)
-    p_table.add_argument(
-        "--kmax", type=int, required=True, help="largest nesting depth"
-    )
-    p_table.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default="table",
-        help="output rendering (default: table)",
-    )
-    p_table.add_argument(
-        "--out", help="write the rendering to this path instead of stdout"
-    )
-
-    p_eval = sub.add_parser(
-        "eval", help="evaluate a fitted approximant at given points"
-    )
-    _add_source_arguments(p_eval)
-    p_eval.add_argument("--order", type=int, required=True, help="nesting depth k")
-    p_eval.add_argument(
-        "--x",
-        type=float,
-        nargs="+",
-        required=True,
-        help="one or more evaluation points (x >= 0)",
-    )
-
-    p_diag = sub.add_parser(
-        "diagnose", help="print the boundedness certificate for a fit"
-    )
-    _add_source_arguments(p_diag)
-    p_diag.add_argument("--order", type=int, required=True, help="nesting depth k")
-    p_diag.add_argument(
-        "--L",
-        type=float,
-        default=100.0,
-        dest="variable_bound",
-        help="right end of the argument interval (default: 100)",
-    )
-
-    p_pade = sub.add_parser(
-        "pade-check",
-        help="check that the power -1 form equals its rational reduction",
-    )
-    p_pade.add_argument("--order", type=int, required=True, help="nesting depth k")
-    p_pade.add_argument(
-        "--seed", type=int, default=0, help="seed for the random parameters"
-    )
-    return parser
-
-
-def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--problem", help="name of a built-in problem")
-    group.add_argument("--file", help="path to a JSON problem file")
 
 
 _FILE_FIELDS = {
@@ -241,7 +152,7 @@ def _is_number(value: object) -> bool:
         return False
 
 
-def _resolve_problem(args: argparse.Namespace) -> corpus.BenchmarkProblem:
+def _resolve_problem(args) -> corpus.BenchmarkProblem:
     if args.problem is not None:
         return corpus.problem(args.problem)
     return load_problem_file(args.file)
@@ -268,7 +179,7 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(_json(payload))
 
 
-def _command_fit(args: argparse.Namespace) -> int:
+def _command_fit(args) -> int:
     problem = _resolve_problem(args)
     approx = _fit_order(problem, args.order)
     try:
@@ -357,7 +268,7 @@ def _human_line(order: object, *cells: str) -> str:
     return f"{order:>4} " + " ".join(f"{cell:>14}" for cell in cells)
 
 
-def _command_table(args: argparse.Namespace) -> int:
+def _command_table(args) -> int:
     problem = _resolve_problem(args)
     _check_depth("--kmax", args.kmax, 2)  # a table starts at depth 2
     rows = depth_table(problem, args.kmax).rows
@@ -375,7 +286,7 @@ def _command_table(args: argparse.Namespace) -> int:
     return 1 if any(row.failed for row in rows) else 0
 
 
-def _command_eval(args: argparse.Namespace) -> int:
+def _command_eval(args) -> int:
     for x in args.x:
         if not math.isfinite(x):
             raise ValueError(f"--x must be finite, got {x!r}")
@@ -407,7 +318,7 @@ def _radical_exponent(s: float, depth: int) -> float:
     return exponent
 
 
-def _command_diagnose(args: argparse.Namespace) -> int:
+def _command_diagnose(args) -> int:
     problem = _resolve_problem(args)
     approx = _fit_order(problem, args.order)
     diag = herschfeld_terms(approx, args.variable_bound)
@@ -431,7 +342,7 @@ def _command_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_pade_check(args: argparse.Namespace) -> int:
+def _command_pade_check(args) -> int:
     import random
 
     _check_depth("--order", args.order, 1)
@@ -462,19 +373,137 @@ def _command_pade_check(args: argparse.Namespace) -> int:
     return 0 if verdict == "PASS" else 1
 
 
+# Every command's options, the one source of ``build_parser`` and ``_read``: a
+# command's function, help, whether it takes the required group ``_SOURCE``, and
+# further options.  An option is a flag and its ``add_argument`` keywords, which
+# default to an optional str, default None, and the flag without ``--`` as dest.
+_SOURCE = (
+    ("--problem", dict(help="name of a built-in problem")),
+    ("--file", dict(help="path to a JSON problem file")),
+)
+_ORDER = ("--order", dict(type=int, required=True, help="nesting depth k"))
 _COMMANDS = {
-    "fit": _command_fit,
-    "table": _command_table,
-    "eval": _command_eval,
-    "diagnose": _command_diagnose,
-    "pade-check": _command_pade_check,
+    "fit": (
+        _command_fit, "fit one approximant and print its parameters", True, [_ORDER],
+    ),
+    "table": (
+        _command_table, "fit depths 2..kmax and print the extrapolation report", True, [
+            ("--kmax", dict(type=int, required=True, help="largest nesting depth")),
+            ("--format", dict(choices=("table", "json", "csv"), default="table",
+                              help="output rendering (default: table)")),
+            ("--out", dict(help="write the rendering to this path instead of stdout")),
+        ],
+    ),
+    "eval": (
+        _command_eval, "evaluate a fitted approximant at given points", True, [
+            _ORDER,
+            ("--x", dict(type=float, nargs="+", required=True,
+                         help="one or more evaluation points (x >= 0)")),
+        ],
+    ),
+    "diagnose": (
+        _command_diagnose, "print the boundedness certificate for a fit", True, [
+            _ORDER,
+            ("--L", dict(type=float, default=100.0, dest="variable_bound",
+                         help="right end of the argument interval (default: 100)")),
+        ],
+    ),
+    "pade-check": (
+        _command_pade_check,
+        "check that the power -1 form equals its rational reduction",
+        False, [
+            _ORDER,
+            ("--seed", dict(type=int, default=0, help="seed for the random parameters")),
+        ],
+    ),
 }
 
 
+def build_parser():
+    """The argparse parser of every command, built from ``_COMMANDS``: the
+    one authority for ``--help`` and for usage errors.  ``main`` builds it,
+    and imports argparse, only for an argv that ``_read`` declines."""
+    import argparse
+    import re
+
+    class Parser(argparse.ArgumentParser):
+        """Raises usage errors, which ``main`` prints as JSON errors, and reads
+        every negative float literal (``-1e5``, ``-inf``) as a value, for the
+        command's own check; argparse alone reads only ``-N`` and ``-N.N``."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"(?i)-\.?\d|-(inf|nan)")
+
+        def error(self, message: str):
+            raise ValueError(f"{self.prog}: {message}")
+
+    parser = Parser(
+        prog="continued-roots",
+        description="Extrapolate small-argument expansions to large-argument "
+        "power laws with continued-root approximants.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_, source, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        if source:
+            group = command.add_mutually_exclusive_group(required=True)
+            for flag, keywords in _SOURCE:
+                group.add_argument(flag, **keywords)
+        for flag, keywords in options:
+            command.add_argument(flag, **keywords)
+    return parser
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)``, read from ``_COMMANDS`` without
+    argparse, for a command and then plain ``--option value`` pairs: each
+    option spelled in full and given at most once, with one value (or more for
+    ``nargs``) that does not start with ``-`` and converts by its type into its
+    choices; every required option, and one of ``--problem`` and ``--file``.
+    None for any other argv, which argparse then parses or rejects."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, _, source, options = _COMMANDS[argv[0]]
+    options = [*(_SOURCE if source else ()), *options]
+    given, values = dict.fromkeys(flag for flag, _ in options), None
+    for arg in argv[1:]:
+        if arg[:1] == "-":
+            if given.get(arg, 0) is not None:  # not an option, or given twice
+                return None
+            values = given[arg] = []
+        elif values is None:
+            return None
+        else:
+            values.append(arg)
+    if source and (given["--problem"] is None) == (given["--file"] is None):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, keywords in options:
+        strings, get = given[flag], keywords.get
+        if strings is None:
+            if get("required"):
+                return None
+            value = get("default")
+        elif not strings or len(strings) > 1 and "nargs" not in keywords:
+            return None
+        else:
+            try:
+                value = [get("type", str)(string) for string in strings]
+            except ValueError:
+                return None
+            if any(v not in get("choices", (v,)) for v in value):
+                return None
+            value = value if "nargs" in keywords else value[0]
+        setattr(args, get("dest", flag[2:]), value)
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _read(argv) or build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except ContinuedRootError as err:
         _print_json({"error": err.kind, "message": str(err)})
         return 1

@@ -146,12 +146,16 @@ def sequence_report(
     approximant restarts the product at 1; once a chain meets a parameter
     that is not > 0, each deeper row of it fails naming that parameter.
 
-    Raises ValueError when depths are not strictly increasing or the
-    prefactor is not positive.
+    Raises ValueError when depths are not strictly increasing, the prefactor
+    is not positive, or the target has no exponent and amplitude.
     """
     # an int prefactor beyond the float range fails each row, as inf does
     prefactor = _positive(observable_prefactor, "observable prefactor")
     _positive(match_point, "match point")
+    try:
+        target_exponent, amplitude = target.exponent, target.amplitude
+    except AttributeError:
+        raise ValueError(f"target must be an ExponentTarget, got {target!r}") from None
     orders = [a.order for a in approximants]
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"depths must be strictly increasing, got {orders}")
@@ -166,13 +170,13 @@ def sequence_report(
         try:
             b = _power_law(chain, power, done, b)
             done = k
-            estimate = _estimate(b, exponent, k, target.exponent, match_point)
+            estimate = _estimate(b, exponent, k, target_exponent, match_point)
             observable = prefactor * estimate
             if not math.isfinite(observable):
                 raise ValueError(f"the observable at depth {k} leaves the float range")
             percent = None
-            if target.amplitude is not None:
-                percent = (estimate - target.amplitude) / target.amplitude * 100.0
+            if amplitude is not None:
+                percent = (estimate - amplitude) / amplitude * 100.0
                 if not math.isfinite(percent):
                     raise ValueError(
                         f"the percent error at depth {k} leaves the float range"

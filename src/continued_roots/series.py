@@ -18,8 +18,11 @@ class TruncatedSeries(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[float, ...]):
-        if len(coeffs) == 0:
-            raise ValueError("a truncated series needs at least the constant term")
+        try:
+            if len(coeffs) == 0:
+                raise ValueError("a truncated series needs at least the constant term")
+        except TypeError:  # no len(): a number or an iterator
+            raise ValueError(f"coeffs must be a sequence, got {coeffs!r}") from None
         self._store(tuple(map(_float, coeffs)))
 
     @property

@@ -25,6 +25,11 @@ rational coefficients, a running binomial in ``Fraction`` arithmetic.
 ``product`` is the Cauchy product of two series of one order, truncated
 to that order, the inverse check of ``power``: u**s * u**-s = 1.
 
+``reference_parser`` is the CLI's former argparse parser, built option by
+option, kept verbatim: the parser that ``cli.build_parser`` builds from its
+option table must print the same help, and ``cli._read`` must give the same
+namespace for every argv it accepts.
+
 ``power_in_domain`` states the nesting power's domain, -1 <= s < 1 and
 s != 0, apart from the package, and ``assert_power_rejected`` checks that
 every entry point that takes a power rejects one outside it alike.
@@ -32,7 +37,9 @@ every entry point that takes a power rejects one outside it alike.
 
 from __future__ import annotations
 
+import argparse
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -350,3 +357,95 @@ def string_coefficients_exact(order: int) -> list[Fraction]:
         m += 1
         binom *= (Fraction(1, 2) - (m - 1)) / m
     return coeffs
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` prints them as JSON errors.
+
+    Every negative float literal (``-1e5``, ``-inf``, ``-nan``) is read as a
+    value, not as an option, so the command's own check names the fault;
+    argparse alone reads only ``-N`` and ``-N.N`` as numbers.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = _ReferenceParser(
+        prog="continued-roots",
+        description="Extrapolate small-argument expansions to large-argument "
+        "power laws with continued-root approximants.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_fit = sub.add_parser(
+        "fit", help="fit one approximant and print its parameters"
+    )
+    _add_source_arguments(p_fit)
+    p_fit.add_argument(
+        "--order", type=int, required=True, help="nesting depth k"
+    )
+
+    p_table = sub.add_parser(
+        "table", help="fit depths 2..kmax and print the extrapolation report"
+    )
+    _add_source_arguments(p_table)
+    p_table.add_argument(
+        "--kmax", type=int, required=True, help="largest nesting depth"
+    )
+    p_table.add_argument(
+        "--format",
+        choices=("table", "json", "csv"),
+        default="table",
+        help="output rendering (default: table)",
+    )
+    p_table.add_argument(
+        "--out", help="write the rendering to this path instead of stdout"
+    )
+
+    p_eval = sub.add_parser(
+        "eval", help="evaluate a fitted approximant at given points"
+    )
+    _add_source_arguments(p_eval)
+    p_eval.add_argument("--order", type=int, required=True, help="nesting depth k")
+    p_eval.add_argument(
+        "--x",
+        type=float,
+        nargs="+",
+        required=True,
+        help="one or more evaluation points (x >= 0)",
+    )
+
+    p_diag = sub.add_parser(
+        "diagnose", help="print the boundedness certificate for a fit"
+    )
+    _add_source_arguments(p_diag)
+    p_diag.add_argument("--order", type=int, required=True, help="nesting depth k")
+    p_diag.add_argument(
+        "--L",
+        type=float,
+        default=100.0,
+        dest="variable_bound",
+        help="right end of the argument interval (default: 100)",
+    )
+
+    p_pade = sub.add_parser(
+        "pade-check",
+        help="check that the power -1 form equals its rational reduction",
+    )
+    p_pade.add_argument("--order", type=int, required=True, help="nesting depth k")
+    p_pade.add_argument(
+        "--seed", type=int, default=0, help="seed for the random parameters"
+    )
+    return parser
+
+
+def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--problem", help="name of a built-in problem")
+    group.add_argument("--file", help="path to a JSON problem file")

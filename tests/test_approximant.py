@@ -351,6 +351,34 @@ def test_every_real_argument_rejects_what_is_not_a_number(call, value):
         call(value)
 
 
+# A container argument that is a number or an iterator raised a bare
+# TypeError ("object of type 'float' has no len()", "'int' object is not
+# iterable") or, for a target, an AttributeError; each names its argument.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TruncatedSeries(1.0), "coeffs must be a sequence, got 1.0"),
+        (
+            lambda: TruncatedSeries(x for x in (1.0, 0.5)),
+            "coeffs must be a sequence, got <generator object",
+        ),
+        (lambda: ContinuedRootApproximant(0.5, 2.0), "params must be a sequence, got 2.0"),
+        (
+            lambda: fit_sequence(TruncatedSeries((1.0, 0.5, 0.25)), 0.5, 3),
+            "orders must be iterable, got 3",
+        ),
+        (
+            lambda: sequence_report([_FORM], 2.0),
+            "target must be an ExponentTarget, got 2.0",
+        ),
+    ],
+    ids=["series number", "series iterator", "params", "orders", "target"],
+)
+def test_container_arguments_name_themselves(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
 # An int too large for a float is not finite either: each entry point that
 # takes a power says so in its own words, not with a bare OverflowError.
 @pytest.mark.parametrize("power", [10**400, -(10**400)], ids=["+", "-"])

@@ -33,7 +33,7 @@ from continued_roots.cli import (
     main,
 )
 
-from oracles import reference_fit
+from oracles import reference_fit, reference_parser
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -1104,19 +1104,22 @@ class TestProcessEntry:
 
 # Standard-library modules that no command needs at start-up; the package
 # defers or avoids them because every CLI process would pay for them.
+# argparse, with the gettext and locale that it loads, serves only --help
+# and usage errors.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 DEFERRED_MODULES = {
     "dataclasses", "inspect", "typing", "fractions", "decimal", "csv", "random",
-    "__future__",
+    "__future__", *ARGPARSE_MODULES,
 }
 
 IMPORT_PROBE = """
 import sys
 import continued_roots
 package = set(sys.modules)
-import argparse, json
-parser_and_encoder = set(sys.modules)
+import json
+encoder = set(sys.modules)
 import continued_roots.cli
-print(json.dumps([sorted(package), sorted(parser_and_encoder), sorted(sys.modules)]))
+print(json.dumps([sorted(package), sorted(encoder), sorted(sys.modules)]))
 """
 
 
@@ -1131,9 +1134,9 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        package, parser_and_encoder, cli = map(set, json.loads(proc.stdout))
+        package, encoder, cli = map(set, json.loads(proc.stdout))
         assert package & DEFERRED_MODULES == set()
-        assert (cli - parser_and_encoder) & DEFERRED_MODULES == set()
+        assert (cli - encoder) & DEFERRED_MODULES == set()
 
     @staticmethod
     def loaded_after(argv, modules):
@@ -1165,3 +1168,55 @@ class TestStartup:
         # annotations, so neither module is compiled or loaded
         argv = ["table", "--problem", "fluid_string", "--kmax", "13", "--format", "csv"]
         assert self.loaded_after(argv, {"__future__", "csv"}) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--problem", "fluid_string", "--order", "13"],
+            ["table", "--problem", "fluid_string", "--kmax", "13"],
+            ["eval", "--problem", "fluid_membrane", "--order", "4", "--x", "0.5", "2"],
+            ["diagnose", "--problem", "fluid_string", "--order", "8", "--L", "100"],
+            ["pade-check", "--order", "5", "--seed", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_well_formed_commands_never_load_argparse(self, argv):
+        assert self.loaded_after(argv, ARGPARSE_MODULES) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--help"], ["table", "--problem", "fluid_string"]],
+        ids=["help", "usage error"],
+    )
+    def test_help_and_usage_errors_load_argparse_and_print_as_before(
+        self, monkeypatch, capsys, argv
+    ):
+        # what the former parser prints in this interpreter at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            reference_parser().parse_args(argv)
+        except SystemExit:
+            expected = capsys.readouterr().out
+        except ValueError as err:
+            error = {"error": "invalid-input", "message": str(err)}
+            expected = json.dumps(error, indent=2) + "\n"
+        src = Path(__file__).resolve().parent.parent / "src"
+        # a process that enters as python -m does, -S as in loaded_after
+        probe = (
+            "import sys\n"
+            "from continued_roots.cli import run\n"
+            f"modules = {ARGPARSE_MODULES!r}\n"
+            "before = sorted(modules & set(sys.modules))\n"
+            "try:\n"
+            "    run()\n"
+            "finally:\n"
+            "    print(before, sorted(modules & set(sys.modules)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+        )
+        assert proc.stdout == expected
+        assert proc.stderr.splitlines()[-1] == f"[] {sorted(ARGPARSE_MODULES)}"
